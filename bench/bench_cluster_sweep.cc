@@ -5,9 +5,9 @@
 // (wf/s), pooled sojourn percentiles (exact cross-process histogram
 // merge), per-node placement imbalance (max/mean instances routed) and
 // admin-message cost per instance. The last number is the one to watch:
-// with --purge=broadcast every finished instance costs O(agents) purge
-// messages — the first scaling wall — while the default targeted purge
-// keeps it flat (see EXPERIMENTS.md for the before/after curves).
+// the targeted end-of-instance purge keeps it flat as agents are added
+// (EXPERIMENTS.md and BENCH_cluster_broadcast.json hold the curve of the
+// retired purge-to-every-agent broadcast, which grew O(agents)).
 //
 // Flags:
 //   --smoke            one small 8-process config (<~30s) for CI
@@ -16,8 +16,6 @@
 //   --rate=N           open-loop starts/s (0 = blast, default 0)
 //   --placement=P      static | rr | hash | least (default hash)
 //   --classes=N        workload classes Wf0..Wf<N-1> (default 8)
-//   --purge=P          targeted | broadcast (default targeted)
-//   --codec=C          kv | binary (default binary)
 //   --tick-us=N        virtual tick length in the nodes (default 20)
 //   --timeout-ms=N     per-config quiesce timeout (default 600000)
 //   --json=PATH        output path (default BENCH_cluster.json)
@@ -55,8 +53,6 @@ struct SweepFlags {
   int64_t rate = 0;
   std::string placement = "hash";
   int classes = 8;
-  std::string purge = "targeted";
-  std::string codec = "binary";
   int64_t tick_us = 10;
   int timeout_ms = 600000;
   std::string json_path = "BENCH_cluster.json";
@@ -112,7 +108,6 @@ ConfigResult RunConfig(const SweepFlags& flags, int processes) {
   testbed_options.num_agents = r.agents;
   testbed_options.placement = flags.placement;
   testbed_options.num_classes = flags.classes;
-  testbed_options.purge = flags.purge;
 
   Result<net::Topology> topology =
       net::Testbed::UnixTopology(testbed_options, dir, processes);
@@ -140,10 +135,8 @@ ConfigResult RunConfig(const SweepFlags& flags, int processes) {
   // quiescence, so their real-time span (ticks * tick_us) is a flat
   // addition to every config's wall clock.
   options.pending_timeout = 50000;
-  options.codec = flags.codec;
   options.placement = flags.placement;
   options.num_classes = flags.classes;
-  options.purge = flags.purge;
   options.drive_on_start = false;  // the "drive" verb injects the load
   options.telemetry_interval_ms = 200;
 
@@ -268,10 +261,6 @@ int Main(int argc, char** argv) {
       flags.placement = arg.substr(12);
     } else if (arg.rfind("--classes=", 0) == 0) {
       flags.classes = std::atoi(arg.c_str() + 10);
-    } else if (arg.rfind("--purge=", 0) == 0) {
-      flags.purge = arg.substr(8);
-    } else if (arg.rfind("--codec=", 0) == 0) {
-      flags.codec = arg.substr(8);
     } else if (arg.rfind("--tick-us=", 0) == 0) {
       flags.tick_us = std::atoll(arg.c_str() + 10);
     } else if (arg.rfind("--timeout-ms=", 0) == 0) {
@@ -301,10 +290,9 @@ int Main(int argc, char** argv) {
 
   std::printf(
       "cluster sweep: %d wf per config, rate=%lld/s, placement=%s, "
-      "classes=%d, purge=%s, codec=%s\n",
+      "classes=%d\n",
       flags.workflows, static_cast<long long>(flags.rate),
-      flags.placement.c_str(), flags.classes, flags.purge.c_str(),
-      flags.codec.c_str());
+      flags.placement.c_str(), flags.classes);
 
   std::vector<ConfigResult> results;
   int failures = 0;
@@ -336,12 +324,11 @@ int Main(int argc, char** argv) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\"bench\":\"cluster_sweep\",\"smoke\":%s,"
-                "\"placement\":\"%s\",\"classes\":%d,\"purge\":\"%s\","
-                "\"codec\":\"%s\",\"workflows\":%d,\"rate\":%lld,"
+                "\"placement\":\"%s\",\"classes\":%d,"
+                "\"workflows\":%d,\"rate\":%lld,"
                 "\"tick_us\":%lld,\"configs\":[",
                 flags.smoke ? "true" : "false", flags.placement.c_str(),
-                flags.classes, flags.purge.c_str(), flags.codec.c_str(),
-                flags.workflows, static_cast<long long>(flags.rate),
+                flags.classes, flags.workflows, static_cast<long long>(flags.rate),
                 static_cast<long long>(flags.tick_us));
   out << buf;
   for (size_t i = 0; i < results.size(); ++i) {

@@ -16,7 +16,6 @@
 #include "rt/mailbox.h"
 #include "rules/engine.h"
 #include "rules/event.h"
-#include "runtime/codec.h"
 #include "runtime/packet.h"
 #include "storage/wal.h"
 
@@ -110,22 +109,7 @@ crew::runtime::WorkflowPacket MakePacket(int items) {
   return packet;
 }
 
-// The kv/binary pairs pin the codec explicitly so the two trajectories
-// stay comparable whatever the process-wide default is.
-void BM_PacketSerialize(benchmark::State& state) {
-  crew::runtime::ScopedPayloadCodec guard(crew::runtime::PayloadCodec::kKv);
-  crew::runtime::WorkflowPacket packet =
-      MakePacket(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(packet.Serialize());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PacketSerialize)->Arg(5)->Arg(15)->Arg(25);
-
 void BM_PacketSerializeBinary(benchmark::State& state) {
-  crew::runtime::ScopedPayloadCodec guard(
-      crew::runtime::PayloadCodec::kBinary);
   crew::runtime::WorkflowPacket packet =
       MakePacket(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -135,22 +119,7 @@ void BM_PacketSerializeBinary(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketSerializeBinary)->Arg(5)->Arg(15)->Arg(25);
 
-void BM_PacketParse(benchmark::State& state) {
-  crew::runtime::ScopedPayloadCodec guard(crew::runtime::PayloadCodec::kKv);
-  std::string payload =
-      MakePacket(static_cast<int>(state.range(0))).Serialize();
-  for (auto _ : state) {
-    auto parsed = crew::runtime::WorkflowPacket::Parse(payload);
-    benchmark::DoNotOptimize(parsed);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(payload.size()));
-}
-BENCHMARK(BM_PacketParse)->Arg(5)->Arg(15)->Arg(25);
-
 void BM_PacketParseBinary(benchmark::State& state) {
-  crew::runtime::ScopedPayloadCodec guard(
-      crew::runtime::PayloadCodec::kBinary);
   std::string payload =
       MakePacket(static_cast<int>(state.range(0))).Serialize();
   for (auto _ : state) {
@@ -167,8 +136,6 @@ BENCHMARK(BM_PacketParseBinary)->Arg(5)->Arg(15)->Arg(25);
 // memcpying the frames it would copy anyway.
 void BM_SuperframeEncode(benchmark::State& state) {
   const int count = static_cast<int>(state.range(0));
-  crew::runtime::ScopedPayloadCodec guard(
-      crew::runtime::PayloadCodec::kBinary);
   crew::net::Frame frame;
   frame.kind = crew::net::Frame::Kind::kData;
   frame.message.from = 2;
@@ -178,8 +145,7 @@ void BM_SuperframeEncode(benchmark::State& state) {
   size_t inner_bytes = 0;
   for (int i = 0; i < count; ++i) {
     frame.seq = static_cast<uint64_t>(i + 1);
-    frames.push_back(crew::net::EncodeFrame(
-        frame, crew::runtime::PayloadCodec::kBinary));
+    frames.push_back(crew::net::EncodeFrame(frame));
     inner_bytes += frames.back().size();
   }
   std::string out;

@@ -18,7 +18,6 @@
 //   --trace=PATH     merged cluster Chrome trace (all endpoints on one
 //                    clock-aligned timeline, cross-process msg spans)
 //   --jsonl=PATH     merged aligned JSONL event log
-//   --codec=C        kv | binary wire codec (default binary)
 #include <unistd.h>
 
 #include <chrono>
@@ -38,7 +37,6 @@
 #include "net/trace_merge.h"
 #include "obs/trace.h"
 #include "rt/runtime.h"
-#include "runtime/codec.h"
 
 namespace crew {
 namespace {
@@ -58,7 +56,6 @@ struct BenchFlags {
   std::string trace_path;
   std::string jsonl_path;
   bool smoke = false;
-  runtime::PayloadCodec codec = runtime::PayloadCodec::kBinary;
 };
 
 struct BenchResult {
@@ -124,10 +121,9 @@ BenchResult RunOnce(const BenchFlags& flags) {
     runtime_options.seed = kSeed;
     runtime_options.tick_us = kTickUs;
     runtime_options.tracer = rings.back().get();
-    net::SocketTransportOptions transport_options;
-    transport_options.codec = flags.codec;
     nodes.push_back(std::make_unique<net::NetNode>(
-        topology.value(), endpoint, runtime_options, transport_options));
+        topology.value(), endpoint, runtime_options,
+        net::SocketTransportOptions{}));
     Status bound = nodes.back()->Bind();
     if (!bound.ok()) {
       std::fprintf(stderr, "bind: %s\n", bound.ToString().c_str());
@@ -201,6 +197,7 @@ BenchResult RunOnce(const BenchFlags& flags) {
     result.transport.batches_sent += stats.batches_sent;
     result.transport.bytes_sent += stats.bytes_sent;
     result.transport.write_syscalls += stats.write_syscalls;
+    result.transport.connects += stats.connects;
     result.transport.reconnects += stats.reconnects;
   }
   for (auto& node : nodes) node->Shutdown();
@@ -263,25 +260,17 @@ int Main(int argc, char** argv) {
       flags.trace_path = arg.substr(8);
     } else if (arg.rfind("--jsonl=", 0) == 0) {
       flags.jsonl_path = arg.substr(8);
-    } else if (arg.rfind("--codec=", 0) == 0) {
-      if (!runtime::ParsePayloadCodecName(arg.substr(8), &flags.codec)) {
-        std::fprintf(stderr, "unknown codec: %s\n", arg.c_str() + 8);
-        return 2;
-      }
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
     }
   }
   if (flags.smoke) flags.workflows = 200;
-  runtime::SetPayloadCodec(flags.codec);  // payloads match the frame codec
 
   std::printf(
-      "net load: %s, %d wf over %d endpoints, %d agents, tick=%lldus, "
-      "codec=%s\n",
+      "net load: %s, %d wf over %d endpoints, %d agents, tick=%lldus\n",
       flags.mode.c_str(), flags.workflows, flags.endpoints, flags.agents,
-      static_cast<long long>(kTickUs),
-      runtime::PayloadCodecName(flags.codec));
+      static_cast<long long>(kTickUs));
 
   BenchResult r = RunOnce(flags);
   std::printf(
@@ -291,7 +280,8 @@ int Main(int argc, char** argv) {
       r.p95_us, r.p99_us, r.max_us);
   std::printf(
       "         frames sent=%lld delivered=%lld deduped=%lld "
-      "bytes=%lld batched=%lld/%lld syscalls=%lld reconnects=%lld\n",
+      "bytes=%lld batched=%lld/%lld syscalls=%lld connects=%lld "
+      "reconnects=%lld\n",
       static_cast<long long>(r.transport.frames_sent),
       static_cast<long long>(r.transport.frames_delivered),
       static_cast<long long>(r.transport.frames_deduped),
@@ -299,13 +289,14 @@ int Main(int argc, char** argv) {
       static_cast<long long>(r.transport.frames_batched),
       static_cast<long long>(r.transport.batches_sent),
       static_cast<long long>(r.transport.write_syscalls),
+      static_cast<long long>(r.transport.connects),
       static_cast<long long>(r.transport.reconnects));
 
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
       "{\"bench\":\"net_throughput\",\"smoke\":%s,\"tick_us\":%lld,"
-      "\"codec\":\"%s\",\"mode\":\"%s\",\"endpoints\":%d,\"agents\":%d,"
+      "\"mode\":\"%s\",\"endpoints\":%d,\"agents\":%d,"
       "\"workflows\":%d,\"committed\":%lld,\"wall_ms\":%.3f,"
       "\"wf_per_sec\":%.1f,"
       "\"sojourn_us\":{\"samples\":%lld,\"p50\":%.1f,\"p95\":%.1f,"
@@ -314,9 +305,9 @@ int Main(int argc, char** argv) {
       "\"frames_deduped\":%lld,\"frames_replayed\":%lld,"
       "\"frames_batched\":%lld,\"batches_sent\":%lld,"
       "\"bytes_sent\":%lld,\"write_syscalls\":%lld,"
-      "\"reconnects\":%lld}}\n",
+      "\"connects\":%lld,\"reconnects\":%lld}}\n",
       flags.smoke ? "true" : "false", static_cast<long long>(kTickUs),
-      runtime::PayloadCodecName(flags.codec), flags.mode.c_str(),
+      flags.mode.c_str(),
       flags.endpoints, flags.agents, r.workflows,
       static_cast<long long>(r.committed), r.wall_ms, r.wf_per_sec,
       static_cast<long long>(r.sojourn_samples), r.p50_us, r.p95_us,
@@ -328,6 +319,7 @@ int Main(int argc, char** argv) {
       static_cast<long long>(r.transport.batches_sent),
       static_cast<long long>(r.transport.bytes_sent),
       static_cast<long long>(r.transport.write_syscalls),
+      static_cast<long long>(r.transport.connects),
       static_cast<long long>(r.transport.reconnects));
   std::ofstream out(flags.json_path);
   out << buf;

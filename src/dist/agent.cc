@@ -350,7 +350,6 @@ void Agent::MaybeCommit(const InstanceId& instance) {
 }
 
 std::vector<NodeId> Agent::PurgeTargets(const InstanceId& instance) {
-  if (options_.purge_broadcast) return all_agents_;
   model::CompiledSchemaPtr schema = FindSchema(instance.workflow);
   if (schema == nullptr) return all_agents_;
   // Every agent that could hold state for this instance is eligible
@@ -376,16 +375,31 @@ void Agent::BroadcastPurge(const InstanceId& instance) {
     Send(agent, runtime::wi::kPurgeInstances, purge.Serialize(),
          sim::MsgCategory::kAdmin);
   }
-  // Apply locally too.
+  PurgeLocal(instance);
+}
+
+void Agent::PurgeLocal(const InstanceId& instance) {
   ended_instances_.insert(instance);
-  instances_.erase(instance);
-  // Resolve registrations parked on the ended instance.
+  auto found = instances_.find(instance);
+  if (found != instances_.end()) {
+    // The instance can end while a re-execution of a mutex step holds
+    // the lock; without a release the arbiter would queue every later
+    // request behind a holder that never finishes.
+    AgentInstance* inst = found->second.get();
+    std::set<StepId> granted_steps;
+    for (const auto& [step, resource] : inst->me_granted) {
+      granted_steps.insert(step);
+    }
+    for (StepId step : granted_steps) ReleaseMutexesDistributed(inst, step);
+    instances_.erase(found);
+  }
+  // Registrations on an ended instance: ordering trivially satisfied.
   for (auto it = ro_registrations_.begin();
        it != ro_registrations_.end();) {
     if (it->first.first == instance) {
       for (const auto& [registrant, token] : it->second) {
         runtime::AddEventMsg notify;
-        notify.instance = it->first.first;
+        notify.instance = instance;
         notify.event_token = token;
         Send(registrant, runtime::wi::kAddEvent, notify.Serialize(),
              sim::MsgCategory::kCoordination);
@@ -402,24 +416,7 @@ void Agent::OnPurgeInstances(const sim::Message& message) {
       runtime::PurgeInstancesMsg::Parse(message.payload);
   if (!parsed.ok()) return;
   for (const InstanceId& instance : parsed.value().committed) {
-    ended_instances_.insert(instance);
-    instances_.erase(instance);
-    // Registrations on an ended instance: ordering trivially satisfied.
-    auto it = ro_registrations_.begin();
-    while (it != ro_registrations_.end()) {
-      if (it->first.first == instance) {
-        for (const auto& [registrant, token] : it->second) {
-          runtime::AddEventMsg notify;
-          notify.instance = instance;
-          notify.event_token = token;
-          Send(registrant, runtime::wi::kAddEvent, notify.Serialize(),
-               sim::MsgCategory::kCoordination);
-        }
-        it = ro_registrations_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    PurgeLocal(instance);
   }
 }
 
@@ -1765,8 +1762,9 @@ void Agent::OnAddEvent(const sim::Message& message) {
     StepId step = static_cast<StepId>(
         strtol(token.c_str() + colon + 2, nullptr, 10));
     AgentInstance* inst = FindInstance(msg.instance);
-    if (inst == nullptr) {
-      // Instance gone: release the lock straight back.
+    if (inst == nullptr || ended_instances_.count(msg.instance) > 0) {
+      // Instance gone, or a replica re-created after its purge that
+      // will never run the step: release the lock straight back.
       runtime::AddRuleMsg release;
       release.instance = msg.instance;
       release.rule_id = "me.release";

@@ -41,12 +41,6 @@ struct AgentOptions {
   /// exchanges StateInformation probes (metered as kElection traffic).
   /// The election itself is decided deterministically either way.
   bool election_probes = false;
-  /// When true, end-of-instance purges go to *every* agent (the paper's
-  /// literal reading, and the first scaling wall the cluster sweep
-  /// hits: O(agents) admin messages per instance). The default sends
-  /// them only to the instance's eligibility footprint — the agents
-  /// that could ever hold its state.
-  bool purge_broadcast = false;
 };
 
 /// The full agent of distributed workflow control (§4). Each agent plays
@@ -58,7 +52,7 @@ struct AgentOptions {
 ///    instance's coordination agent via StepCompleted();
 ///  - *coordination agent*: for instances whose start step it owns —
 ///    handles WorkflowStart/Abort/ChangeInputs/Status, the commit
-///    decision over terminal groups, and the purge broadcast.
+///    decision over terminal groups, and the end-of-instance purge.
 ///
 /// All sixteen workflow interfaces of Table 1 (plus CompensateThread)
 /// arrive as messages and are dispatched in HandleMessage.
@@ -210,12 +204,17 @@ class Agent : public sim::MessageHandler {
 
   // ---- coordination-agent machinery ----
   void MaybeCommit(const InstanceId& instance);
+  /// Sends PurgeInstances to PurgeTargets(instance) and purges locally.
   void BroadcastPurge(const InstanceId& instance);
-  /// Agents a purge of `instance` must reach: all of them under
-  /// `purge_broadcast`, otherwise the instance's eligibility footprint
+  /// Agents a purge of `instance` must reach: its eligibility footprint
   /// (union of eligible agents over every schema step — executors,
   /// coordinator, arbiters and RO registration sites all live there).
   std::vector<NodeId> PurgeTargets(const InstanceId& instance);
+  /// Drops this agent's state for an ended instance: marks it ended,
+  /// hands every mutual-exclusion grant it still holds back to the
+  /// arbiter, erases the replica, and resolves RO registrations parked
+  /// on it.
+  void PurgeLocal(const InstanceId& instance);
   NodeId CoordinationAgentOf(const AgentInstance& inst) const;
 
   /// Arbiter node for a mutual-exclusion resource: the lowest eligible
@@ -243,8 +242,8 @@ class Agent : public sim::MessageHandler {
   std::map<std::pair<InstanceId, StepId>,
            std::vector<std::pair<NodeId, std::string>>>
       ro_registrations_;
-  /// Instances known ended (purge broadcasts) — registrations on them
-  /// resolve immediately.
+  /// Instances known ended (purges) — registrations on them resolve
+  /// immediately, and mutex grants for them are handed straight back.
   std::set<InstanceId> ended_instances_;
 
   /// Lock tables for resources arbitrated here.

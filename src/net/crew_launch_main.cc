@@ -41,10 +41,8 @@ struct LaunchFlags {
   int timeout_ms = 120000;
   int status_interval_ms = 0;  // live cluster snapshots (0 = off)
   std::string trace_dir;       // per-process shards + merged trace
-  std::string codec;           // kv | binary (empty = node default)
   std::string placement = "static";  // static | rr | hash | least
   int classes = 0;                   // sweep workload classes (0 = mixed)
-  std::string purge = "targeted";    // targeted | broadcast
 };
 
 void LaunchUsage() {
@@ -61,12 +59,9 @@ void LaunchUsage() {
       "                                 metrics every N ms\n"
       "  --trace-dir <dir>              per-process trace shards; merged\n"
       "                                 into <dir>/trace_merged.json\n"
-      "  --codec kv|binary              wire codec the nodes send with\n"
-      "                                 (default binary)\n"
       "  --placement static|rr|hash|least  instance placement policy\n"
       "  --classes N                    N all-committing workload classes\n"
-      "                                 Wf0..Wf<N-1> (0 = standard mix)\n"
-      "  --purge targeted|broadcast     end-of-instance purge scope\n");
+      "                                 Wf0..Wf<N-1> (0 = standard mix)\n");
 }
 
 bool ParseLaunchFlags(int argc, char** argv, LaunchFlags* flags) {
@@ -106,14 +101,10 @@ bool ParseLaunchFlags(int argc, char** argv, LaunchFlags* flags) {
       flags->status_interval_ms = std::atoi(value);
     } else if (arg == "--trace-dir" && (value = next())) {
       flags->trace_dir = value;
-    } else if (arg == "--codec" && (value = next())) {
-      flags->codec = value;
     } else if (arg == "--placement" && (value = next())) {
       flags->placement = value;
     } else if (arg == "--classes" && (value = next())) {
       flags->classes = std::atoi(value);
-    } else if (arg == "--purge" && (value = next())) {
-      flags->purge = value;
     } else {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", arg.c_str());
       return false;
@@ -155,10 +146,8 @@ int RunLaunch(const LaunchFlags& flags) {
   options.seed = flags.seed;
   options.tick_us = flags.tick_us;
   options.pending_timeout = flags.pending_timeout;
-  options.codec = flags.codec;
   options.placement = flags.placement;
   options.num_classes = flags.classes;
-  options.purge = flags.purge;
   if (flags.mode == "dist") {
     options.agdb_dir = flags.workdir + "/agdb";
     mkdir(options.agdb_dir.c_str(), 0755);

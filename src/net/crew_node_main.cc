@@ -31,7 +31,6 @@
 #include "net/testbed.h"
 #include "net/trace_merge.h"
 #include "obs/trace.h"
-#include "runtime/codec.h"
 #include "runtime/wire.h"
 
 namespace crew::net {
@@ -52,10 +51,8 @@ struct Flags {
   bool drive = true;
   std::string trace_shard;
   int64_t telemetry_interval_ms = 200;
-  std::string codec = "binary";
   std::string placement = "static";
   int classes = 0;
-  std::string purge = "targeted";
 };
 
 void Usage() {
@@ -74,13 +71,9 @@ void Usage() {
       "                          joins shards into one Chrome trace)\n"
       "  --telemetry-interval-ms N  metrics snapshot cadence (0 = off;\n"
       "                          default 200)\n"
-      "  --codec kv|binary       wire codec for payloads and frames\n"
-      "                          (default binary; receivers always\n"
-      "                          accept both, so nodes may differ)\n"
       "  --placement static|rr|hash|least  instance placement policy\n"
       "  --classes N             sweep workload: N all-committing\n"
-      "                          classes Wf0..Wf<N-1> (0 = mixed)\n"
-      "  --purge targeted|broadcast  end-of-instance purge scope\n");
+      "                          classes Wf0..Wf<N-1> (0 = mixed)\n");
 }
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
@@ -120,14 +113,10 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->trace_shard = value;
     } else if (arg == "--telemetry-interval-ms" && (value = next())) {
       flags->telemetry_interval_ms = std::atoll(value);
-    } else if (arg == "--codec" && (value = next())) {
-      flags->codec = value;
     } else if (arg == "--placement" && (value = next())) {
       flags->placement = value;
     } else if (arg == "--classes" && (value = next())) {
       flags->classes = std::atoi(value);
-    } else if (arg == "--purge" && (value = next())) {
-      flags->purge = value;
     } else {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", arg.c_str());
       return false;
@@ -161,16 +150,8 @@ int Run(const Flags& flags) {
   // into assigning cross-process trace ids on every Ship.
   obs::RingBufferTracer ring;
   if (!flags.trace_shard.empty()) runtime_options.tracer = &ring;
-  runtime::PayloadCodec codec;
-  if (!runtime::ParsePayloadCodecName(flags.codec, &codec)) {
-    std::fprintf(stderr, "crew_node: unknown codec '%s'\n",
-                 flags.codec.c_str());
-    return 1;
-  }
-  runtime::SetPayloadCodec(codec);  // payload serialization (wire.h)
   SocketTransportOptions transport_options;
   transport_options.incarnation = flags.incarnation;
-  transport_options.codec = codec;  // frame envelopes
 
   NetNode node(topology.value(), self.value(), runtime_options,
                transport_options);
@@ -188,7 +169,6 @@ int Run(const Flags& flags) {
   testbed_options.agdb_dir = flags.agdb;
   testbed_options.placement = flags.placement;
   testbed_options.num_classes = flags.classes;
-  testbed_options.purge = flags.purge;
   Testbed testbed(&node.runtime(), topology.value(), self.value(),
                   testbed_options);
   testbed.InstallRecoveryHooks(&node.runtime());

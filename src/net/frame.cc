@@ -1,10 +1,9 @@
 #include "net/frame.h"
 
 #include <cstring>
-#include <limits>
 
 #include "runtime/binio.h"
-#include "runtime/kv.h"
+#include "runtime/codec.h"
 #include "sim/metrics.h"
 
 namespace crew::net {
@@ -37,71 +36,16 @@ std::string AssembleEnvelope(Frame::Kind kind, std::string_view body,
   return out;
 }
 
-// kDataBin flags byte.
+// kData flags byte.
 constexpr uint8_t kDataFlagTraced = 1;      // trace_id + sent_ticks follow
 constexpr uint8_t kDataFlagInlineType = 2;  // type rides as bytes, not id
 
-std::string EncodeKvFrame(const Frame& frame) {
-  runtime::KvWriter header;
-  const std::string* payload = nullptr;
-  switch (frame.kind) {
-    case Frame::Kind::kHello:
-    case Frame::Kind::kHelloBin:
-      header.Add("endpoint", frame.endpoint);
-      header.AddInt("incarnation", static_cast<int64_t>(frame.incarnation));
-      if (frame.sent_ticks >= 0) {
-        header.AddInt("sent", frame.sent_ticks);
-      }
-      break;
-    case Frame::Kind::kAck:
-    case Frame::Kind::kAckBin:
-      header.AddInt("watermark", static_cast<int64_t>(frame.watermark));
-      header.AddInt("incarnation", static_cast<int64_t>(frame.incarnation));
-      break;
-    case Frame::Kind::kData:
-    case Frame::Kind::kDataBin:
-    case Frame::Kind::kBatch:
-      header.AddInt("seq", static_cast<int64_t>(frame.seq));
-      header.AddInt("from", frame.message.from);
-      header.AddInt("to", frame.message.to);
-      header.Add("type", frame.message.type);
-      header.AddInt("category", static_cast<int>(frame.message.category));
-      // Trace context, omitted for untraced messages so the steady-state
-      // frame stays exactly as before. The id is a raw 64-bit pattern
-      // (endpoint hash | incarnation | counter); it rides as int64.
-      if (frame.message.trace_id != 0) {
-        header.AddInt("trace",
-                      static_cast<int64_t>(frame.message.trace_id));
-        if (frame.message.trace_sent_ticks >= 0) {
-          header.AddInt("sent", frame.message.trace_sent_ticks);
-        }
-      }
-      payload = &frame.message.payload;
-      break;
-  }
-  std::string head = header.Finish();
-  size_t payload_size = payload != nullptr ? payload->size() : 0;
-  std::string out;
-  out.reserve(4 + 1 + 4 + head.size() + payload_size);
-  PutU32(&out, static_cast<uint32_t>(1 + 4 + head.size() + payload_size));
-  Frame::Kind kind = frame.kind;
-  if (kind == Frame::Kind::kHelloBin) kind = Frame::Kind::kHello;
-  if (kind == Frame::Kind::kAckBin) kind = Frame::Kind::kAck;
-  if (kind == Frame::Kind::kDataBin || kind == Frame::Kind::kBatch) {
-    kind = Frame::Kind::kData;
-  }
-  out.push_back(static_cast<char>(kind));
-  PutU32(&out, static_cast<uint32_t>(head.size()));
-  out += head;
-  if (payload != nullptr) out += *payload;
-  return out;
-}
+}  // namespace
 
-std::string EncodeBinaryFrame(const Frame& frame) {
+std::string EncodeFrame(const Frame& frame) {
   std::string body;
   switch (frame.kind) {
-    case Frame::Kind::kHello:
-    case Frame::Kind::kHelloBin: {
+    case Frame::Kind::kHello: {
       // HELLO carries the sender's type dictionary: names in id order.
       size_t dict = runtime::WireTypeCount();
       size_t bound = 3 * runtime::kMaxVarintBytes +
@@ -118,18 +62,16 @@ std::string EncodeBinaryFrame(const Frame& frame) {
         w.Bytes(runtime::WireTypeName(i));
       }
       w.Finish();
-      return AssembleEnvelope(Frame::Kind::kHelloBin, body);
+      return AssembleEnvelope(Frame::Kind::kHello, body);
     }
-    case Frame::Kind::kAck:
-    case Frame::Kind::kAckBin: {
+    case Frame::Kind::kAck: {
       runtime::BinWriter w(&body, 2 * runtime::kMaxVarintBytes);
       w.Varint(frame.watermark);
       w.Varint(frame.incarnation);
       w.Finish();
-      return AssembleEnvelope(Frame::Kind::kAckBin, body);
+      return AssembleEnvelope(Frame::Kind::kAck, body);
     }
     case Frame::Kind::kData:
-    case Frame::Kind::kDataBin:
     case Frame::Kind::kBatch: {
       int type_id = runtime::WireTypeId(frame.message.type);
       const bool traced = frame.message.trace_id != 0;
@@ -154,20 +96,11 @@ std::string EncodeBinaryFrame(const Frame& frame) {
         w.Zig(frame.message.trace_sent_ticks);
       }
       w.Finish();
-      return AssembleEnvelope(Frame::Kind::kDataBin, body,
+      return AssembleEnvelope(Frame::Kind::kData, body,
                               frame.message.payload);
     }
   }
   return {};
-}
-
-}  // namespace
-
-std::string EncodeFrame(const Frame& frame) { return EncodeKvFrame(frame); }
-
-std::string EncodeFrame(const Frame& frame, runtime::PayloadCodec codec) {
-  return codec == runtime::PayloadCodec::kBinary ? EncodeBinaryFrame(frame)
-                                                 : EncodeKvFrame(frame);
 }
 
 void AppendBatchHeader(std::string* out, size_t count, size_t inner_bytes) {
@@ -195,27 +128,20 @@ std::string EncodeSuperframe(const std::vector<std::string>& frames) {
 }
 
 Status CheckShippable(const sim::Message& message) {
-  // Mirror the kv kData header of EncodeFrame with the widest possible
-  // sequence number, so the check holds for any seq assigned later
-  // (held messages are sequenced only on recovery). The kv header is
-  // strictly larger than the binary one, so this bound covers both
-  // codecs — and a batch never grows past its policy cap, which is far
-  // below the frame limit.
-  runtime::KvWriter header;
-  header.AddInt("seq", std::numeric_limits<int64_t>::max());
-  header.AddInt("from", message.from);
-  header.AddInt("to", message.to);
-  header.Add("type", message.type);
-  header.AddInt("category", static_cast<int>(message.category));
-  // Worst-case trace context: a transport-assigned id and send tick may
-  // be added after admission, so the bound must cover them even when the
-  // message is untraced at check time.
-  header.AddInt("trace", std::numeric_limits<int64_t>::min());
-  header.AddInt("sent", std::numeric_limits<int64_t>::max());
-  size_t length = 1 + 4 + header.Finish().size() + message.payload.size();
+  // The widest DATA header EncodeFrame can write for this message: any
+  // sequence number (held messages are sequenced only on recovery, so
+  // the seq is not known yet), the type inline instead of as a
+  // dictionary id, and the trace id plus send tick the transport may
+  // add after admission. A batch never grows past its policy cap, which
+  // is far below the frame limit, so only the bare frame needs checking.
+  size_t header = 1 /* flags */ + runtime::kMaxVarintBytes /* seq */ +
+                  2 * runtime::kMaxVarintBytes /* from, to */ +
+                  1 /* category */ + runtime::BytesBound(message.type) +
+                  2 * runtime::kMaxVarintBytes /* trace id, sent ticks */;
+  size_t length = 1 /* kind */ + header + message.payload.size();
   if (length > kMaxFrameBytes) {
     return Status::InvalidArgument(
-        "message frame of " + std::to_string(length) +
+        "message frame of up to " + std::to_string(length) +
         " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
         "-byte frame limit");
   }
@@ -311,10 +237,9 @@ bool FrameDecoder::DecodeOne() {
 
 bool FrameDecoder::ParseBody(Frame::Kind kind, const char* body,
                              size_t body_len, Frame* out) {
-  // ---- binary wire forms ----
+  runtime::BinReader r(std::string_view(body, body_len));
   switch (kind) {
-    case Frame::Kind::kHelloBin: {
-      runtime::BinReader r(std::string_view(body, body_len));
+    case Frame::Kind::kHello: {
       uint64_t incarnation, count;
       int64_t ticks;
       std::string_view endpoint;
@@ -344,8 +269,7 @@ bool FrameDecoder::ParseBody(Frame::Kind kind, const char* body,
       type_dict_ = std::move(dict);
       return true;
     }
-    case Frame::Kind::kAckBin: {
-      runtime::BinReader r(std::string_view(body, body_len));
+    case Frame::Kind::kAck: {
       uint64_t watermark, incarnation;
       if (!r.Varint(&watermark) || !r.Varint(&incarnation) || !r.done()) {
         status_ = Status::Corruption("malformed ack frame");
@@ -356,8 +280,7 @@ bool FrameDecoder::ParseBody(Frame::Kind kind, const char* body,
       out->incarnation = incarnation;
       return true;
     }
-    case Frame::Kind::kDataBin: {
-      runtime::BinReader r(std::string_view(body, body_len));
+    case Frame::Kind::kData: {
       uint8_t flags, category;
       uint64_t seq;
       int64_t from, to;
@@ -403,82 +326,10 @@ bool FrameDecoder::ParseBody(Frame::Kind kind, const char* body,
       return true;
     }
     default:
-      break;
-  }
-
-  // ---- kv wire forms: [u32 header_len][kv header][payload] ----
-  if (body_len < 4) {
-    status_ = Status::Corruption("truncated kv frame header");
-    return false;
-  }
-  uint32_t header_len = GetU32(body);
-  if (header_len > body_len - 4) {
-    status_ = Status::Corruption("frame header overruns frame");
-    return false;
-  }
-  std::string head(body + 4, header_len);
-  const char* payload = body + 4 + header_len;
-  size_t payload_len = body_len - 4 - header_len;
-
-  Result<runtime::KvReader> reader = runtime::KvReader::Parse(head);
-  if (!reader.ok()) {
-    status_ = reader.status();
-    return false;
-  }
-  const runtime::KvReader& kv = reader.value();
-  out->kind = kind;
-  switch (kind) {
-    case Frame::Kind::kHello: {
-      Result<std::string> endpoint = kv.GetRequired("endpoint");
-      Result<int64_t> incarnation = kv.GetInt("incarnation");
-      if (!endpoint.ok() || !incarnation.ok()) {
-        status_ = Status::Corruption("malformed hello frame");
-        return false;
-      }
-      out->endpoint = std::move(endpoint).value();
-      out->incarnation = static_cast<uint64_t>(incarnation.value());
-      out->sent_ticks = kv.GetIntOr("sent", -1);
-      break;
-    }
-    case Frame::Kind::kAck: {
-      Result<int64_t> watermark = kv.GetInt("watermark");
-      Result<int64_t> incarnation = kv.GetInt("incarnation");
-      if (!watermark.ok() || !incarnation.ok()) {
-        status_ = Status::Corruption("malformed ack frame");
-        return false;
-      }
-      out->watermark = static_cast<uint64_t>(watermark.value());
-      out->incarnation = static_cast<uint64_t>(incarnation.value());
-      break;
-    }
-    case Frame::Kind::kData: {
-      Result<int64_t> seq = kv.GetInt("seq");
-      Result<int64_t> from = kv.GetInt("from");
-      Result<int64_t> to = kv.GetInt("to");
-      Result<std::string> type = kv.GetRequired("type");
-      int64_t category = kv.GetIntOr("category", 0);
-      if (!seq.ok() || !from.ok() || !to.ok() || !type.ok() ||
-          category < 0 || category >= sim::kNumMsgCategories) {
-        status_ = Status::Corruption("malformed data frame");
-        return false;
-      }
-      out->seq = static_cast<uint64_t>(seq.value());
-      out->message.from = static_cast<NodeId>(from.value());
-      out->message.to = static_cast<NodeId>(to.value());
-      out->message.type = std::move(type).value();
-      out->message.category = static_cast<sim::MsgCategory>(category);
-      out->message.trace_id =
-          static_cast<uint64_t>(kv.GetIntOr("trace", 0));
-      out->message.trace_sent_ticks = kv.GetIntOr("sent", -1);
-      out->message.payload.assign(payload, payload_len);
-      break;
-    }
-    default:
       status_ = Status::Corruption("unknown frame kind " +
                                    std::to_string(static_cast<int>(kind)));
       return false;
   }
-  return true;
 }
 
 }  // namespace crew::net

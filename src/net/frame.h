@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "runtime/codec.h"
 #include "sim/network.h"
 
 namespace crew::net {
@@ -17,33 +16,17 @@ namespace crew::net {
 ///
 ///   [u32 length][u8 kind][body]
 ///
-/// `length` (little-endian) covers everything after itself. Two wire
-/// forms exist per logical kind — the sender's codec picks one, the
-/// decoder handles both unconditionally, so kv and binary peers
-/// interoperate frame-by-frame:
+/// `length` (little-endian) covers everything after itself. Bodies are
+/// varint/zigzag fields (runtime/binio.h), self-delimiting, with any
+/// payload at the tail; DESIGN.md §5g/§5i give the exact layouts.
 ///
-///  - kv kinds (kHello/kData/kAck): body is [u32 header_len][kv header]
-///    [payload]. The header is line-oriented kv text (runtime/kv.h); the
-///    payload rides behind it as raw bytes so it needs no escaping.
-///  - binary kinds (kHelloBin/kAckBin/kDataBin): body is varint/zigzag
-///    fields (runtime/binio.h), self-delimiting, payload at the tail.
-///    See DESIGN.md §5i for the exact layouts.
-///  - kBatch: [varint count][count × complete inner envelopes]. One
-///    superframe per poll wakeup coalesces all pending DATA frames of a
-///    directed pair under a single length prefix (and a single write
-///    syscall). Inner frames must exactly tile the body and must not
-///    nest batches; a corrupt inner frame poisons only this stream.
-///
-/// The decoder normalizes: popped frames always carry a *logical* kind
-/// (kHello/kData/kAck), whatever the wire form was.
-///
-/// Logical kinds:
+/// Kinds:
 ///  - kHello: first frame on every connection; identifies the sending
 ///    endpoint and its incarnation (bumped on process restart, which
-///    tells the receiver to reset its dedup watermark). The binary form
-///    also carries the sender's message-type dictionary: the wi:: names
-///    in dictionary-id order, so subsequent kDataBin frames can encode
-///    their type as one varint id (runtime/codec.h WireTypeId).
+///    tells the receiver to reset its dedup watermark). It also carries
+///    the sender's message-type dictionary: the wi:: names in
+///    dictionary-id order, so subsequent kData frames can encode their
+///    type as one varint id (runtime/codec.h WireTypeId).
 ///  - kData: one sim::Message, tagged with a per-directed-endpoint-pair
 ///    sequence number. The sender retains the frame until acked and
 ///    replays retained frames after a reconnect; the receiver drops
@@ -54,14 +37,19 @@ namespace crew::net {
 ///    receiver of the ACK drops it unless the incarnation matches its
 ///    own, so a watermark learned from a peer's *previous* life can
 ///    never discard frames of the restarted sequence space.
+///  - kBatch: [varint count][count × complete inner envelopes]. One
+///    superframe per poll wakeup coalesces all pending DATA frames of a
+///    directed pair under a single length prefix (and a single write
+///    syscall). Inner frames must exactly tile the body and must not
+///    nest batches; a corrupt inner frame poisons only this stream. The
+///    decoder unrolls batches, so it never pops a kBatch frame.
 struct Frame {
+  /// Byte values on the wire. They start at 4 because 1-3 once named kv
+  /// text frames; decoders reject those as unknown kinds.
   enum class Kind : uint8_t {
-    kHello = 1,
-    kData = 2,
-    kAck = 3,
-    kHelloBin = 4,
-    kAckBin = 5,
-    kDataBin = 6,
+    kHello = 4,
+    kAck = 5,
+    kData = 6,
     kBatch = 7,
   };
 
@@ -92,12 +80,8 @@ struct Frame {
 /// Frames larger than this poison the decoder (corrupt length prefix).
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 
-/// Encodes in the kv wire form (back-compat callers and tests).
+/// Encodes one frame (kHello, kAck or kData) in its wire form.
 std::string EncodeFrame(const Frame& frame);
-
-/// Encodes in the wire form of `codec` (the transport's sender-side
-/// choice; receivers decode either form).
-std::string EncodeFrame(const Frame& frame, runtime::PayloadCodec codec);
 
 /// Wraps already-encoded frames into one kBatch superframe.
 std::string EncodeSuperframe(const std::vector<std::string>& frames);
@@ -109,13 +93,13 @@ std::string EncodeSuperframe(const std::vector<std::string>& frames);
 void AppendBatchHeader(std::string* out, size_t count, size_t inner_bytes);
 
 /// InvalidArgument when a DATA frame carrying `message` could exceed
-/// kMaxFrameBytes (computed against the worst-case sequence-number
-/// header). Senders must reject such messages before admitting them to
-/// an outbound stream: the receiving decoder treats an oversize length
-/// prefix as corruption and drops the connection, and a retained
-/// oversize frame would then replay on every reconnect forever. The
-/// bound is computed against the kv header, which is strictly larger
-/// than the binary one — so it is valid for either codec.
+/// kMaxFrameBytes. The bound uses the worst-case DATA header: the
+/// widest sequence number, the type inline rather than as a dictionary
+/// id, and a trace id plus send tick. Senders must reject such messages
+/// before admitting them to an outbound stream: the receiving decoder
+/// treats an oversize length prefix as corruption and drops the
+/// connection, and a retained oversize frame would then replay on every
+/// reconnect forever.
 Status CheckShippable(const sim::Message& message);
 
 /// Incremental decoder: feed arbitrary byte slices exactly as read from
@@ -148,8 +132,8 @@ class FrameDecoder {
   size_t offset_ = 0;
   Status status_;
   std::deque<Frame> ready_;
-  /// Message-type dictionary declared by the peer's binary HELLO
-  /// (dictionary id -> type name), used to resolve kDataBin type ids.
+  /// Message-type dictionary declared by the peer's HELLO (dictionary
+  /// id -> type name), used to resolve kData type ids.
   std::vector<std::string> type_dict_;
 };
 

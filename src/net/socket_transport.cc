@@ -59,6 +59,7 @@ struct SocketTransport::Peer {
   int fd = -1;
   bool connecting = false;  ///< non-blocking connect in flight
   bool connected = false;   ///< HELLO primed; write path open
+  bool ever_connected = false;  ///< a later connection is a reconnect
   int consecutive_failures = 0;
   int backoff_ms = 0;
   int64_t next_dial_ms = 0;  ///< earliest next dial, ms since start
@@ -290,7 +291,7 @@ void SocketTransport::SetNodeDown(NodeId id, bool down) {
       Peer::Retained retained;
       retained.seq = frame.seq;
       retained.to = frame.message.to;
-      retained.bytes = EncodeFrame(frame, options_.codec);
+      retained.bytes = EncodeFrame(frame);
       peer->held_bytes -= frame.message.payload.size();
       peer->retained_bytes += retained.bytes.size();
       peer->unsent_bytes += retained.bytes.size();
@@ -387,7 +388,7 @@ Status SocketTransport::Ship(sim::Message& message) {
     Peer::Retained retained;
     retained.seq = frame.seq;
     retained.to = frame.message.to;
-    retained.bytes = EncodeFrame(frame, options_.codec);
+    retained.bytes = EncodeFrame(frame);
     peer->retained_bytes += retained.bytes.size();
     peer->unsent_bytes += retained.bytes.size();
     if (peer->pending_since_ms < 0) peer->pending_since_ms = NowMs();
@@ -511,7 +512,9 @@ void SocketTransport::OnConnected(Peer* peer) {
   peer->connected = true;
   peer->consecutive_failures = 0;
   peer->backoff_ms = options_.reconnect_initial_ms;
-  reconnects_.fetch_add(1, std::memory_order_relaxed);
+  (peer->ever_connected ? reconnects_ : connects_)
+      .fetch_add(1, std::memory_order_relaxed);
+  peer->ever_connected = true;
   // Fresh connection protocol: HELLO, the reverse-direction ACK (so a
   // restarted peer learns what already landed here), then the retained
   // window from the beginning.
@@ -525,7 +528,7 @@ void SocketTransport::OnConnected(Peer* peer) {
   hello.endpoint = self_.Address();
   hello.incarnation = options_.incarnation;
   if (clock_) hello.sent_ticks = clock_();
-  peer->write_buffer += EncodeFrame(hello, options_.codec);
+  peer->write_buffer += EncodeFrame(hello);
   auto in = inbound_.find(peer->address);
   if (in != inbound_.end()) {
     Frame ack;
@@ -536,7 +539,7 @@ void SocketTransport::OnConnected(Peer* peer) {
     // still describes the OLD sequence space and the restarted peer
     // must ignore it rather than discard fresh frames.
     ack.incarnation = in->second.incarnation;
-    peer->write_buffer += EncodeFrame(ack, options_.codec);
+    peer->write_buffer += EncodeFrame(ack);
   }
   state_cv_.notify_all();
 }
@@ -642,7 +645,7 @@ void SocketTransport::QueueAckLocked(const std::string& endpoint_address,
   ack.kind = Frame::Kind::kAck;
   ack.watermark = watermark;
   ack.incarnation = incarnation;
-  peer->write_buffer += EncodeFrame(ack, options_.codec);
+  peer->write_buffer += EncodeFrame(ack);
 }
 
 void SocketTransport::HandleInboundFrame(InConn* conn, Frame frame) {
@@ -955,6 +958,7 @@ SocketTransportStats SocketTransport::Stats() const {
   stats.batches_sent = batches_sent_.load(std::memory_order_relaxed);
   stats.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
   stats.write_syscalls = write_syscalls_.load(std::memory_order_relaxed);
+  stats.connects = connects_.load(std::memory_order_relaxed);
   stats.reconnects = reconnects_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(state_mu_);
   for (const auto& [address, peer] : peers_) {

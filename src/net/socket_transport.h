@@ -36,10 +36,6 @@ struct SocketTransportOptions {
   /// Consecutive connect failures before IsNodeDown reports the peer
   /// down (debounces startup races against real crashes).
   int down_after_failures = 40;
-  /// Sender-side wire codec for every frame this transport encodes
-  /// (HELLO/ACK/DATA). Receivers decode both forms unconditionally, so
-  /// mixed-codec clusters interoperate.
-  runtime::PayloadCodec codec = runtime::PayloadCodec::kBinary;
   /// Batching policy: pending DATA frames of a directed pair coalesce
   /// into one kBatch superframe per poll wakeup, capped at this many
   /// inner bytes per batch.
@@ -64,7 +60,8 @@ struct SocketTransportStats {
   int64_t batches_sent = 0;       // kBatch superframes staged
   int64_t bytes_sent = 0;         // all frame bytes written
   int64_t write_syscalls = 0;     // successful write() calls
-  int64_t reconnects = 0;         // connections established to peers
+  int64_t connects = 0;           // first connection to each peer
+  int64_t reconnects = 0;         // later connections to a peer
   int64_t retained_bytes = 0;     // gauge: unacked outbound, all peers
   int64_t held_bytes = 0;         // gauge: parked for explicit-down nodes
 };
@@ -277,6 +274,7 @@ class SocketTransport : public sim::Transport, public rt::RemoteRouter {
   std::atomic<int64_t> batches_sent_{0};
   std::atomic<int64_t> bytes_sent_{0};
   std::atomic<int64_t> write_syscalls_{0};
+  std::atomic<int64_t> connects_{0};
   std::atomic<int64_t> reconnects_{0};
 };
 

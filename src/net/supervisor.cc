@@ -87,10 +87,6 @@ Status Supervisor::Spawn(NodeProcess* process, bool drive) {
     args.push_back("--agdb");
     args.push_back(options_.agdb_dir);
   }
-  if (!options_.codec.empty()) {
-    args.push_back("--codec");
-    args.push_back(options_.codec);
-  }
   if (!options_.placement.empty() && options_.placement != "static") {
     args.push_back("--placement");
     args.push_back(options_.placement);
@@ -98,10 +94,6 @@ Status Supervisor::Spawn(NodeProcess* process, bool drive) {
   if (options_.num_classes > 0) {
     args.push_back("--classes");
     args.push_back(std::to_string(options_.num_classes));
-  }
-  if (!options_.purge.empty() && options_.purge != "targeted") {
-    args.push_back("--purge");
-    args.push_back(options_.purge);
   }
   if (!options_.trace_dir.empty()) {
     // One shard file per incarnation: a restarted process must not

@@ -33,16 +33,10 @@ struct LaunchOptions {
   std::string trace_dir;
   /// Metrics snapshot cadence inside each node (0 = off).
   int64_t telemetry_interval_ms = 200;
-  /// Wire codec each node sends with ("kv" | "binary"). Empty = the
-  /// node binary's default (binary). Receivers accept both, so mixed
-  /// clusters interoperate.
-  std::string codec;
   /// Instance placement policy ("static" | "rr" | "hash" | "least").
   std::string placement = "static";
   /// Sweep workload classes (0 = the standard mixed workload).
   int num_classes = 0;
-  /// Purge scope ("targeted" | "broadcast"), see TestbedOptions.
-  std::string purge = "targeted";
   /// When false, nodes start idle and the caller triggers the workload
   /// later via the "drive" control verb (open-loop bench runs).
   bool drive_on_start = true;

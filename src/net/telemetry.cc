@@ -44,6 +44,7 @@ std::string NodeTelemetryJson(
      << Ratio2(transport_stats.frames_batched, transport_stats.batches_sent)
      << ",\"bytes_per_syscall\":"
      << Ratio2(transport_stats.bytes_sent, transport_stats.write_syscalls)
+     << ",\"connects\":" << transport_stats.connects
      << ",\"reconnects\":" << transport_stats.reconnects
      << ",\"retained_bytes_total\":" << transport_stats.retained_bytes
      << ",\"held_bytes_total\":" << transport_stats.held_bytes
@@ -113,6 +114,7 @@ ClusterAggregate AggregateTelemetry(const std::vector<NodeTelemetry>& nodes) {
     a.frames_batched += ExtractJsonInt(j, "\"frames_batched\":");
     a.batches_sent += ExtractJsonInt(j, "\"batches_sent\":");
     a.write_syscalls += ExtractJsonInt(j, "\"write_syscalls\":");
+    a.connects += ExtractJsonInt(j, "\"connects\":");
     a.reconnects += ExtractJsonInt(j, "\"reconnects\":");
     a.retained_bytes += ExtractJsonInt(j, "\"retained_bytes_total\":");
     a.held_bytes += ExtractJsonInt(j, "\"held_bytes_total\":");
@@ -200,7 +202,8 @@ std::string AggregateSummaryLine(const ClusterAggregate& a) {
      << " load=" << a.load_total << " frames: sent=" << a.frames_sent
      << " dlv=" << a.frames_delivered << " dup=" << a.frames_deduped
      << " replay=" << a.frames_replayed << " batch=" << a.frames_batched
-     << "/" << a.batches_sent << " reconn=" << a.reconnects
+     << "/" << a.batches_sent << " conn=" << a.connects
+     << " reconn=" << a.reconnects
      << " retained=" << a.retained_bytes << "B held=" << a.held_bytes
      << "B mbox=" << a.mailbox_depth << " wf=" << a.wf_committed << "/"
      << a.wf_aborted;
@@ -217,6 +220,7 @@ std::string NodeSummaryLine(const NodeTelemetry& node) {
      << " replay=" << ExtractJsonInt(j, "\"frames_replayed\":")
      << " batch=" << ExtractJsonInt(j, "\"frames_batched\":")
      << "/" << ExtractJsonInt(j, "\"batches_sent\":")
+     << " conn=" << ExtractJsonInt(j, "\"connects\":")
      << " reconn=" << ExtractJsonInt(j, "\"reconnects\":")
      << " retained=" << ExtractJsonInt(j, "\"retained_bytes_total\":")
      << "B held=" << ExtractJsonInt(j, "\"held_bytes_total\":")
@@ -240,6 +244,7 @@ std::string ClusterTelemetryJson(const std::vector<NodeTelemetry>& nodes) {
      << ",\"frames_batched\":" << a.frames_batched
      << ",\"batches_sent\":" << a.batches_sent
      << ",\"write_syscalls\":" << a.write_syscalls
+     << ",\"connects\":" << a.connects
      << ",\"reconnects\":" << a.reconnects
      << ",\"retained_bytes\":" << a.retained_bytes
      << ",\"held_bytes\":" << a.held_bytes

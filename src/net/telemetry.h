@@ -26,7 +26,8 @@ struct NodeTelemetry {
 ///
 ///   {"endpoint":…,"incarnation":…,
 ///    "transport":{frames_*, bytes_sent, write_syscalls,
-///                 mean_frames_per_batch, bytes_per_syscall, reconnects,
+///                 mean_frames_per_batch, bytes_per_syscall, connects,
+///                 reconnects,
 ///                 retained_bytes_total, held_bytes_total,
 ///                 "peers":[{peer, connected, ack_lag_frames, …}]},
 ///    "runtime":{messages_delivered, messages_parked, timers_fired,
@@ -64,7 +65,8 @@ struct ClusterAggregate {
   int64_t frames_batched = 0;  ///< DATA frames that rode inside a batch
   int64_t batches_sent = 0;    ///< kBatch superframes emitted
   int64_t write_syscalls = 0;  ///< successful write() calls
-  int64_t reconnects = 0;
+  int64_t connects = 0;    ///< first connections to a peer
+  int64_t reconnects = 0;  ///< later connections to a peer
   int64_t retained_bytes = 0;  ///< gauge, summed over nodes
   int64_t held_bytes = 0;      ///< gauge, summed over nodes
   // Runtime sums.
@@ -81,7 +83,7 @@ struct ClusterAggregate {
 ClusterAggregate AggregateTelemetry(const std::vector<NodeTelemetry>& nodes);
 
 /// One-line rolling summary for the live --status-interval view:
-///   "cluster n=3 msgs=1234 frames: sent=… dlv=… replay=… reconn=… …"
+///   "cluster n=3 msgs=1234 frames: sent=… dlv=… replay=… conn=… reconn=… …"
 std::string AggregateSummaryLine(const ClusterAggregate& a);
 
 /// Per-node one-liner (transport health) for the live view, scraped

@@ -213,7 +213,6 @@ Testbed::Testbed(sim::Backend* backend, const Topology& topology,
     dist::AgentOptions agent_options;
     agent_options.pending_timeout = options_.pending_timeout;
     agent_options.agdb_dir = options_.agdb_dir;
-    agent_options.purge_broadcast = options_.purge == "broadcast";
     for (NodeId id : agent_ids_) {
       if (!Hosts(id)) continue;
       sim::Context* context = backend->ContextFor(id);

@@ -38,10 +38,6 @@ struct TestbedOptions {
   /// eligibility windows are offset per class, so a cluster-wide sweep
   /// spreads load over every agent instead of the first few.
   int num_classes = 0;
-  /// dist: "targeted" (default, eligibility-footprint purge) or
-  /// "broadcast" (purge message to every agent — the pre-fix scaling
-  /// behaviour, kept for before/after curves).
-  std::string purge = "targeted";
 };
 
 /// Builds the slice of a standard mixed workload deployment that one

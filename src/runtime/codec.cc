@@ -1,38 +1,8 @@
 #include "runtime/codec.h"
 
-#include <atomic>
-
 #include "runtime/wire.h"
 
 namespace crew::runtime {
-
-namespace {
-std::atomic<int> g_codec{static_cast<int>(PayloadCodec::kBinary)};
-}  // namespace
-
-void SetPayloadCodec(PayloadCodec codec) {
-  g_codec.store(static_cast<int>(codec), std::memory_order_relaxed);
-}
-
-PayloadCodec ActivePayloadCodec() {
-  return static_cast<PayloadCodec>(g_codec.load(std::memory_order_relaxed));
-}
-
-const char* PayloadCodecName(PayloadCodec codec) {
-  return codec == PayloadCodec::kKv ? "kv" : "binary";
-}
-
-bool ParsePayloadCodecName(std::string_view name, PayloadCodec* out) {
-  if (name == "kv") {
-    *out = PayloadCodec::kKv;
-    return true;
-  }
-  if (name == "binary" || name == "bin") {
-    *out = PayloadCodec::kBinary;
-    return true;
-  }
-  return false;
-}
 
 namespace {
 

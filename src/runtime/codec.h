@@ -9,47 +9,11 @@
 
 namespace crew::runtime {
 
-/// The codec seam: every typed payload (runtime/packet.h, runtime/wire.h)
-/// Serialize()s in the process-wide active codec, and every Parse()
-/// auto-detects the format from the first byte — binary payloads open
-/// with kBinaryMagic, which can never begin a kv text payload (kv keys
-/// are printable ASCII). Mixed-codec clusters, WAL records written by a
-/// previous life under the other codec, and hand-written kv test
-/// fixtures therefore all parse regardless of the active setting.
-enum class PayloadCodec { kKv = 0, kBinary = 1 };
-
-/// Process-wide active codec for Serialize(). Defaults to kBinary; the
-/// kv text format remains as the debug/compat codec (--codec=kv).
-void SetPayloadCodec(PayloadCodec codec);
-PayloadCodec ActivePayloadCodec();
-
-const char* PayloadCodecName(PayloadCodec codec);
-/// Parses "kv" / "binary"; false on anything else.
-bool ParsePayloadCodecName(std::string_view name, PayloadCodec* out);
-
-/// RAII codec override for tests and benchmarks.
-class ScopedPayloadCodec {
- public:
-  explicit ScopedPayloadCodec(PayloadCodec codec)
-      : prev_(ActivePayloadCodec()) {
-    SetPayloadCodec(codec);
-  }
-  ~ScopedPayloadCodec() { SetPayloadCodec(prev_); }
-  ScopedPayloadCodec(const ScopedPayloadCodec&) = delete;
-  ScopedPayloadCodec& operator=(const ScopedPayloadCodec&) = delete;
-
- private:
-  PayloadCodec prev_;
-};
-
-/// First byte of every binary payload. >= 0x80, so it cannot collide
-/// with the first key character of a kv text payload.
+/// The binary wire codec: every typed payload (runtime/packet.h,
+/// runtime/wire.h) is [kBinaryMagic][BinMsgId][fields]. Parse() rejects
+/// any payload that does not open with the magic, or whose id names
+/// another type. See DESIGN.md §5i for the field layouts.
 inline constexpr unsigned char kBinaryMagic = 0xC2;
-
-inline bool LooksBinary(std::string_view payload) {
-  return !payload.empty() &&
-         static_cast<unsigned char>(payload[0]) == kBinaryMagic;
-}
 
 /// Message ids: the byte after the magic. A Parse for type X rejects a
 /// binary payload whose id is not X — cross-type payloads fail loudly

@@ -15,17 +15,6 @@ KvWriter& KvWriter::Add(std::string_view key, std::string_view raw) {
   return *this;
 }
 
-KvWriter& KvWriter::AddPrefixed(std::string_view prefix,
-                                std::string_view key,
-                                std::string_view raw) {
-  buffer_ += prefix;
-  buffer_ += key;
-  buffer_ += '=';
-  buffer_ += raw;
-  buffer_ += '\n';
-  return *this;
-}
-
 KvWriter& KvWriter::AddInt(std::string_view key, int64_t v) {
   char buf[24];
   char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;

@@ -12,21 +12,15 @@
 
 namespace crew::runtime {
 
-/// Line-oriented key=value wire format for workflow-interface messages
-/// and packets. Repeated keys are allowed (lists). Values containing
-/// newlines must be escaped by the caller (Value::ToString already does).
+/// Line-oriented key=value text format, used for trace-shard files
+/// (net/trace_merge.h). Repeated keys are allowed (lists). Values
+/// containing newlines must be escaped by the caller (Value::ToString
+/// already does).
 class KvWriter {
  public:
   KvWriter& Add(std::string_view key, std::string_view raw);
-  /// Emits "<prefix><key>=<raw>" without building the concatenated key.
-  KvWriter& AddPrefixed(std::string_view prefix, std::string_view key,
-                        std::string_view raw);
   KvWriter& AddInt(std::string_view key, int64_t v);
   KvWriter& AddValue(std::string_view key, const Value& v);
-
-  /// Pre-sizes the output buffer (callers that know their payload size
-  /// avoid repeated reallocation).
-  void Reserve(size_t bytes) { buffer_.reserve(bytes); }
 
   std::string Finish() const { return buffer_; }
 
@@ -49,10 +43,6 @@ class KvReader {
   int64_t GetIntOr(const std::string& key, int64_t fallback) const;
   Result<Value> GetValue(const std::string& key) const;
   Result<std::string> GetRequired(const std::string& key) const;
-
-  const std::vector<std::pair<std::string, std::string>>& entries() const {
-    return entries_;
-  }
 
  private:
   std::vector<std::pair<std::string, std::string>> entries_;

@@ -1,11 +1,6 @@
 #include "runtime/packet.h"
 
-#include <charconv>
-#include <cstdlib>
-
-#include "common/strings.h"
 #include "runtime/codec.h"
-#include "runtime/kv.h"
 
 namespace crew::runtime {
 
@@ -176,139 +171,7 @@ Result<WorkflowPacket> ParseBinaryPacket(std::string_view payload) {
 
 }  // namespace
 
-std::string RoLink::Serialize() const {
-  return other.workflow + "#" + std::to_string(other.number) + ":S" +
-         std::to_string(my_step) + ">S" + std::to_string(other_step);
-}
-
-Result<RoLink> RoLink::Parse(const std::string& text, bool leading) {
-  // Format: <wf>#<num>:S<my>>S<other>
-  size_t hash = text.rfind('#');
-  size_t colon = text.find(':', hash == std::string::npos ? 0 : hash);
-  if (hash == std::string::npos || colon == std::string::npos) {
-    return Status::Corruption("bad RO link: " + text);
-  }
-  RoLink link;
-  link.leading = leading;
-  link.other.workflow = text.substr(0, hash);
-  link.other.number = strtoll(text.c_str() + hash + 1, nullptr, 10);
-  const char* p = text.c_str() + colon + 1;
-  if (*p != 'S') return Status::Corruption("bad RO link steps: " + text);
-  char* end = nullptr;
-  link.my_step = static_cast<StepId>(strtol(p + 1, &end, 10));
-  if (end == nullptr || *end != '>' || *(end + 1) != 'S') {
-    return Status::Corruption("bad RO link steps: " + text);
-  }
-  link.other_step = static_cast<StepId>(strtol(end + 2, nullptr, 10));
-  if (link.my_step <= 0 || link.other_step <= 0) {
-    return Status::Corruption("bad RO link steps: " + text);
-  }
-  return link;
-}
-
-std::string RdLink::Serialize() const {
-  return other.workflow + "#" + std::to_string(other.number) + ":S" +
-         std::to_string(my_step) + ">S" + std::to_string(other_step);
-}
-
-Result<RdLink> RdLink::Parse(const std::string& text) {
-  Result<RoLink> ro = RoLink::Parse(text, /*leading=*/true);
-  if (!ro.ok()) return ro.status();
-  RdLink link;
-  link.other = ro.value().other;
-  link.my_step = ro.value().my_step;
-  link.other_step = ro.value().other_step;
-  return link;
-}
-
-std::string EventOcc::Serialize() const {
-  std::string out;
-  AppendTo(&out);
-  return out;
-}
-
-void EventOcc::AppendTo(std::string* out) const {
-  out->append(name());
-  char buf[48];
-  char* p = buf;
-  *p++ = '@';
-  p = std::to_chars(p, buf + sizeof(buf), occ).ptr;
-  *p++ = '@';
-  p = std::to_chars(p, buf + sizeof(buf), epoch).ptr;
-  out->append(buf, static_cast<size_t>(p - buf));
-}
-
-Result<EventOcc> EventOcc::Parse(const std::string& text) {
-  size_t at2 = text.rfind('@');
-  if (at2 == std::string::npos || at2 == 0) {
-    return Status::Corruption("bad event occurrence: " + text);
-  }
-  size_t at1 = text.rfind('@', at2 - 1);
-  if (at1 == std::string::npos || at1 == 0) {
-    return Status::Corruption("bad event occurrence: " + text);
-  }
-  EventOcc e;
-  e.token = rules::InternToken(std::string_view(text).substr(0, at1));
-  e.occ = strtoll(text.c_str() + at1 + 1, nullptr, 10);
-  e.epoch = strtoll(text.c_str() + at2 + 1, nullptr, 10);
-  if (e.occ <= 0) {
-    return Status::Corruption("bad event occurrence: " + text);
-  }
-  return e;
-}
-
 std::string WorkflowPacket::Serialize() const {
-  return ActivePayloadCodec() == PayloadCodec::kBinary ? SerializeBinary()
-                                                       : SerializeKv();
-}
-
-std::string WorkflowPacket::SerializeKv() const {
-  KvWriter w;
-  // Pre-size the buffer: fixed header plus a per-entry estimate (key,
-  // separators, and typical value widths) so growth never reallocates
-  // more than once for ordinary packets.
-  size_t estimate = 64 + instance.workflow.size();
-  for (const auto& [name, value] : data) {
-    (void)value;
-    estimate += name.size() + 24;
-  }
-  for (const EventOcc& e : events) estimate += e.name().size() + 16;
-  estimate += executed_by.size() * 16;
-  estimate += (ro_links.size() + rd_links.size()) *
-              (instance.workflow.size() + 28);
-  w.Reserve(estimate);
-
-  w.Add("wf", instance.workflow);
-  w.AddInt("inst", instance.number);
-  w.AddInt("step", target_step);
-  w.AddInt("epoch", epoch);
-  if (coordinator != kInvalidNode) w.AddInt("coord", coordinator);
-  for (const auto& [name, value] : data) {
-    w.AddPrefixed("d.", name, value.ToString());
-  }
-  std::string scratch;
-  for (const EventOcc& e : events) {
-    scratch.clear();
-    e.AppendTo(&scratch);
-    w.Add("ev", scratch);
-  }
-  char buf[32];
-  for (const auto& [step, agent] : executed_by) {
-    char* p = std::to_chars(buf, buf + sizeof(buf), step).ptr;
-    *p++ = ':';
-    p = std::to_chars(p, buf + sizeof(buf), agent).ptr;
-    w.Add("by", std::string_view(buf, static_cast<size_t>(p - buf)));
-  }
-  for (const RoLink& link : ro_links) {
-    w.Add(link.leading ? "ro_lead" : "ro_lag", link.Serialize());
-  }
-  for (const RdLink& link : rd_links) {
-    w.Add("rd", link.Serialize());
-  }
-  return w.Finish();
-}
-
-std::string WorkflowPacket::SerializeBinary() const {
   // Upper bound: magic + id, tagged scalars, then the counted sections.
   size_t bound = 2 + 1 + BytesBound(instance.workflow) +
                  4 * (1 + kMaxVarintBytes);
@@ -402,59 +265,12 @@ std::string WorkflowPacket::SerializeBinary() const {
 }
 
 Result<WorkflowPacket> WorkflowPacket::Parse(const std::string& payload) {
-  if (LooksBinary(payload)) {
-    if (payload.size() < 2 ||
-        payload[1] != static_cast<char>(BinMsgId::kPacket)) {
-      return Status::Corruption("binary payload is not a packet");
-    }
-    return ParseBinaryPacket(payload);
+  if (payload.size() < 2 ||
+      static_cast<unsigned char>(payload[0]) != kBinaryMagic ||
+      payload[1] != static_cast<char>(BinMsgId::kPacket)) {
+    return Status::Corruption("payload is not a binary packet");
   }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
-  const KvReader& r = reader.value();
-
-  WorkflowPacket p;
-  Result<std::string> wf = r.GetRequired("wf");
-  if (!wf.ok()) return wf.status();
-  p.instance.workflow = std::move(wf).value();
-  Result<int64_t> inst = r.GetInt("inst");
-  if (!inst.ok()) return inst.status();
-  p.instance.number = inst.value();
-  Result<int64_t> step = r.GetInt("step");
-  if (!step.ok()) return step.status();
-  p.target_step = static_cast<StepId>(step.value());
-  p.epoch = r.GetIntOr("epoch", 0);
-  p.coordinator = static_cast<NodeId>(r.GetIntOr("coord", kInvalidNode));
-
-  for (const auto& [key, raw] : r.entries()) {
-    if (StartsWith(key, "d.")) {
-      Result<Value> v = Value::Parse(raw);
-      if (!v.ok()) return v.status();
-      p.data[key.substr(2)] = std::move(v).value();
-    } else if (key == "ev") {
-      Result<EventOcc> e = EventOcc::Parse(raw);
-      if (!e.ok()) return e.status();
-      p.events.push_back(std::move(e).value());
-    } else if (key == "by") {
-      size_t colon = raw.find(':');
-      if (colon == std::string::npos) {
-        return Status::Corruption("bad by entry: " + raw);
-      }
-      StepId s = static_cast<StepId>(strtol(raw.c_str(), nullptr, 10));
-      NodeId n =
-          static_cast<NodeId>(strtol(raw.c_str() + colon + 1, nullptr, 10));
-      p.executed_by[s] = n;
-    } else if (key == "ro_lead" || key == "ro_lag") {
-      Result<RoLink> link = RoLink::Parse(raw, key == "ro_lead");
-      if (!link.ok()) return link.status();
-      p.ro_links.push_back(std::move(link).value());
-    } else if (key == "rd") {
-      Result<RdLink> link = RdLink::Parse(raw);
-      if (!link.ok()) return link.status();
-      p.rd_links.push_back(std::move(link).value());
-    }
-  }
-  return p;
+  return ParseBinaryPacket(payload);
 }
 
 }  // namespace crew::runtime

@@ -31,10 +31,6 @@ struct RoLink {
     return other == o.other && my_step == o.my_step &&
            other_step == o.other_step && leading == o.leading;
   }
-
-  /// "WF3#15:S2>S4" wire form (see packet.cc).
-  std::string Serialize() const;
-  static Result<RoLink> Parse(const std::string& text, bool leading);
 };
 
 /// A rollback-dependency binding carried with the *leading* instance:
@@ -49,9 +45,6 @@ struct RdLink {
     return other == o.other && my_step == o.my_step &&
            other_step == o.other_step;
   }
-
-  std::string Serialize() const;
-  static Result<RdLink> Parse(const std::string& text);
 };
 
 /// One event occurrence carried in a packet: the token, its occurrence
@@ -60,8 +53,8 @@ struct RdLink {
 /// (so halt-thread invalidation never kills newer-epoch events).
 ///
 /// In memory the token is interned (rules::EventToken); the spelled-out
-/// name only exists on the wire — Parse() interns, Serialize()
-/// stringifies, and the wire format is unchanged.
+/// name only exists on the wire — WorkflowPacket::Parse() interns it and
+/// WorkflowPacket::Serialize() writes the name.
 struct EventOcc {
   rules::EventToken token = rules::kInvalidEventToken;
   int64_t occ = 1;
@@ -76,11 +69,6 @@ struct EventOcc {
 
   /// Spelled-out token name.
   std::string_view name() const { return rules::TokenName(token); }
-
-  std::string Serialize() const;  // "token@occ@epoch"
-  /// Appends the wire form to `*out` without temporaries.
-  void AppendTo(std::string* out) const;
-  static Result<EventOcc> Parse(const std::string& text);
 };
 
 /// Packet container aliases: sorted flat tables backed by inline
@@ -124,14 +112,9 @@ struct WorkflowPacket {
   PacketRoList ro_links;                      ///< ordering obligations
   PacketRdList rd_links;                      ///< rollback dependencies
 
-  /// Serialized size is the wire size used for byte metrics. Encodes in
-  /// the process-wide active codec (runtime/codec.h); Parse()
-  /// auto-detects the format, so mixed-codec peers and WAL records from
-  /// either codec always read back.
+  /// Binary wire form (runtime/codec.h); its size is the wire size used
+  /// for byte metrics.
   std::string Serialize() const;
-  /// Explicit-codec forms (the codec seam; benches and nesting callers).
-  std::string SerializeKv() const;
-  std::string SerializeBinary() const;
   static Result<WorkflowPacket> Parse(const std::string& payload);
 };
 

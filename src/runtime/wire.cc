@@ -1,46 +1,11 @@
 #include "runtime/wire.h"
 
-#include "common/strings.h"
 #include "runtime/codec.h"
-#include "runtime/kv.h"
 
 namespace crew::runtime {
 namespace {
 
-void WriteInstance(KvWriter* w, const InstanceId& instance) {
-  w->Add("wf", instance.workflow);
-  w->AddInt("inst", instance.number);
-}
-
-Status ReadInstance(const KvReader& r, InstanceId* instance) {
-  Result<std::string> wf = r.GetRequired("wf");
-  if (!wf.ok()) return wf.status();
-  instance->workflow = std::move(wf).value();
-  Result<int64_t> number = r.GetInt("inst");
-  if (!number.ok()) return number.status();
-  instance->number = number.value();
-  return Status::OK();
-}
-
-void WriteDataMap(KvWriter* w, const std::string& prefix,
-                  const std::map<std::string, Value>& data) {
-  for (const auto& [name, value] : data) {
-    w->Add(prefix + name, value.ToString());
-  }
-}
-
-Status ReadDataMap(const KvReader& r, const std::string& prefix,
-                   std::map<std::string, Value>* data) {
-  for (const auto& [key, raw] : r.entries()) {
-    if (!StartsWith(key, prefix)) continue;
-    Result<Value> v = Value::Parse(raw);
-    if (!v.ok()) return v.status();
-    (*data)[key.substr(prefix.size())] = std::move(v).value();
-  }
-  return Status::OK();
-}
-
-// ---- binary payload helpers (the runtime/codec.h seam) ----
+// ---- binary payload helpers (runtime/codec.h) ----
 //
 // Every message is [kBinaryMagic][BinMsgId][TLV fields]. A field tag is
 // one byte, (field_number << 2) | wire_type, wire type 0 = varint (also
@@ -255,6 +220,7 @@ class MsgReader {
 Status CheckBinId(const std::string& payload, BinMsgId id,
                   const char* what) {
   if (payload.size() < 2 ||
+      static_cast<unsigned char>(payload[0]) != kBinaryMagic ||
       static_cast<uint8_t>(payload[1]) != static_cast<uint8_t>(id)) {
     return Status::Corruption(std::string("binary payload is not ") + what);
   }
@@ -306,278 +272,175 @@ StepRunState ParseStepRunState(const std::string& name) {
 // ---- WorkflowStartMsg ----
 
 std::string WorkflowStartMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out,
-                InstanceBound(instance) + kIntFieldBound +
-                    MapSectionBound(inputs) + RoSectionBound(ro_links) +
-                    RdSectionBound(rd_links) +
-                    StrFieldBound(parent.workflow) + 2 * kIntFieldBound,
-                BinMsgId::kWorkflowStart);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, reply_to);
-    w.Map(4, inputs);
-    WriteRoSection(w.w(), 5, ro_links);
-    WriteRdSection(w.w(), 6, rd_links);
-    if (!parent.workflow.empty()) {
-      w.Str(7, parent.workflow);
-      w.Int(8, parent.number);
-      w.Int(9, parent_step);
-    }
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.AddInt("reply_to", reply_to);
-  WriteDataMap(&w, "i.", inputs);
-  for (const RoLink& link : ro_links) {
-    w.Add(link.leading ? "ro_lead" : "ro_lag", link.Serialize());
-  }
-  for (const RdLink& link : rd_links) {
-    w.Add("rd", link.Serialize());
-  }
+  std::string out;
+  MsgWriter w(&out,
+              InstanceBound(instance) + kIntFieldBound +
+                  MapSectionBound(inputs) + RoSectionBound(ro_links) +
+                  RdSectionBound(rd_links) +
+                  StrFieldBound(parent.workflow) + 2 * kIntFieldBound,
+              BinMsgId::kWorkflowStart);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, reply_to);
+  w.Map(4, inputs);
+  WriteRoSection(w.w(), 5, ro_links);
+  WriteRdSection(w.w(), 6, rd_links);
   if (!parent.workflow.empty()) {
-    w.Add("parent_wf", parent.workflow);
-    w.AddInt("parent_inst", parent.number);
-    w.AddInt("parent_step", parent_step);
+    w.Str(7, parent.workflow);
+    w.Int(8, parent.number);
+    w.Int(9, parent_step);
   }
-  return w.Finish();
+  w.Finish();
+  return out;
 }
 
 Result<WorkflowStartMsg> WorkflowStartMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kWorkflowStart, "WorkflowStart"));
-    WorkflowStartMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("WorkflowStart", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.reply_to);
-        case TagI(4): return r.Map(&m.inputs);
-        case TagI(5): return ReadRoSection(r.r(), &m.ro_links);
-        case TagI(6): return ReadRdSection(r.r(), &m.rd_links);
-        case TagS(7): return r.Str(&m.parent.workflow);
-        case TagI(8): return r.Int(&m.parent.number);
-        case TagI(9): return r.IntAs(&m.parent_step);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kWorkflowStart, "WorkflowStart"));
   WorkflowStartMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  m.reply_to = static_cast<NodeId>(
-      reader.value().GetIntOr("reply_to", kInvalidNode));
-  CREW_RETURN_IF_ERROR(ReadDataMap(reader.value(), "i.", &m.inputs));
-  for (const auto& [key, raw] : reader.value().entries()) {
-    if (key == "ro_lead" || key == "ro_lag") {
-      Result<RoLink> link = RoLink::Parse(raw, key == "ro_lead");
-      if (!link.ok()) return link.status();
-      m.ro_links.push_back(std::move(link).value());
-    } else if (key == "rd") {
-      Result<RdLink> link = RdLink::Parse(raw);
-      if (!link.ok()) return link.status();
-      m.rd_links.push_back(std::move(link).value());
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("WorkflowStart", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.reply_to);
+      case TagI(4): return r.Map(&m.inputs);
+      case TagI(5): return ReadRoSection(r.r(), &m.ro_links);
+      case TagI(6): return ReadRdSection(r.r(), &m.rd_links);
+      case TagS(7): return r.Str(&m.parent.workflow);
+      case TagI(8): return r.Int(&m.parent.number);
+      case TagI(9): return r.IntAs(&m.parent_step);
+      default: return false;
     }
-  }
-  m.parent.workflow = reader.value().Get("parent_wf").value_or("");
-  m.parent.number = reader.value().GetIntOr("parent_inst", 0);
-  m.parent_step = static_cast<StepId>(
-      reader.value().GetIntOr("parent_step", kInvalidStep));
+  }));
   return m;
 }
 
 // ---- WorkflowChangeInputsMsg ----
 
 std::string WorkflowChangeInputsMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out,
-                InstanceBound(instance) + kIntFieldBound +
-                    MapSectionBound(new_inputs),
-                BinMsgId::kWorkflowChangeInputs);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, origin_step);
-    w.Map(4, new_inputs);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.AddInt("origin", origin_step);
-  WriteDataMap(&w, "i.", new_inputs);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out,
+              InstanceBound(instance) + kIntFieldBound +
+                  MapSectionBound(new_inputs),
+              BinMsgId::kWorkflowChangeInputs);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, origin_step);
+  w.Map(4, new_inputs);
+  w.Finish();
+  return out;
 }
 
 Result<WorkflowChangeInputsMsg> WorkflowChangeInputsMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(CheckBinId(payload, BinMsgId::kWorkflowChangeInputs,
-                                    "WorkflowChangeInputs"));
-    WorkflowChangeInputsMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("WorkflowChangeInputs", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.origin_step);
-        case TagI(4): return r.Map(&m.new_inputs);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(CheckBinId(payload, BinMsgId::kWorkflowChangeInputs,
+                                  "WorkflowChangeInputs"));
   WorkflowChangeInputsMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  m.origin_step = static_cast<StepId>(
-      reader.value().GetIntOr("origin", kInvalidStep));
-  CREW_RETURN_IF_ERROR(ReadDataMap(reader.value(), "i.", &m.new_inputs));
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("WorkflowChangeInputs", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.origin_step);
+      case TagI(4): return r.Map(&m.new_inputs);
+      default: return false;
+    }
+  }));
   return m;
 }
 
 // ---- WorkflowAbortMsg ----
 
 std::string WorkflowAbortMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out, InstanceBound(instance), BinMsgId::kWorkflowAbort);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out, InstanceBound(instance), BinMsgId::kWorkflowAbort);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Finish();
+  return out;
 }
 
 Result<WorkflowAbortMsg> WorkflowAbortMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kWorkflowAbort, "WorkflowAbort"));
-    WorkflowAbortMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("WorkflowAbort", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kWorkflowAbort, "WorkflowAbort"));
   WorkflowAbortMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("WorkflowAbort", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      default: return false;
+    }
+  }));
   return m;
 }
 
 // ---- WorkflowStatusMsg ----
 
 std::string WorkflowStatusMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out, InstanceBound(instance) + kIntFieldBound,
-                BinMsgId::kWorkflowStatus);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, reply_to);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.AddInt("reply_to", reply_to);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out, InstanceBound(instance) + kIntFieldBound,
+              BinMsgId::kWorkflowStatus);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, reply_to);
+  w.Finish();
+  return out;
 }
 
 Result<WorkflowStatusMsg> WorkflowStatusMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kWorkflowStatus, "WorkflowStatus"));
-    WorkflowStatusMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("WorkflowStatus", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.reply_to);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kWorkflowStatus, "WorkflowStatus"));
   WorkflowStatusMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  m.reply_to = static_cast<NodeId>(
-      reader.value().GetIntOr("reply_to", kInvalidNode));
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("WorkflowStatus", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.reply_to);
+      default: return false;
+    }
+  }));
   return m;
 }
 
 // ---- WorkflowStatusReplyMsg ----
 
 std::string WorkflowStatusReplyMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out, InstanceBound(instance) + kIntFieldBound,
-                BinMsgId::kWorkflowStatusReply);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, static_cast<int64_t>(state));
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.Add("state", WorkflowStateName(state));
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out, InstanceBound(instance) + kIntFieldBound,
+              BinMsgId::kWorkflowStatusReply);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, static_cast<int64_t>(state));
+  w.Finish();
+  return out;
 }
 
 Result<WorkflowStatusReplyMsg> WorkflowStatusReplyMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(CheckBinId(payload, BinMsgId::kWorkflowStatusReply,
-                                    "WorkflowStatusReply"));
-    WorkflowStatusReplyMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("WorkflowStatusReply", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): {
-          int64_t v;
-          if (!r.Int(&v)) return false;
-          m.state = (v >= 0 && v <= 3) ? static_cast<WorkflowState>(v)
-                                       : WorkflowState::kUnknown;
-          return true;
-        }
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(CheckBinId(payload, BinMsgId::kWorkflowStatusReply,
+                                  "WorkflowStatusReply"));
   WorkflowStatusReplyMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<std::string> state = reader.value().GetRequired("state");
-  if (!state.ok()) return state.status();
-  m.state = ParseWorkflowState(state.value());
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("WorkflowStatusReply", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): {
+        int64_t v;
+        if (!r.Int(&v)) return false;
+        m.state = (v >= 0 && v <= 3) ? static_cast<WorkflowState>(v)
+                                     : WorkflowState::kUnknown;
+        return true;
+      }
+      default: return false;
+    }
+  }));
   return m;
 }
 
@@ -592,310 +455,183 @@ Result<StepExecuteMsg> StepExecuteMsg::Parse(const std::string& payload) {
 // ---- StepCompensateMsg ----
 
 std::string StepCompensateMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out, InstanceBound(instance) + 2 * kIntFieldBound,
-                BinMsgId::kStepCompensate);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, step);
-    w.Int(4, epoch);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.AddInt("step", step);
-  w.AddInt("epoch", epoch);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out, InstanceBound(instance) + 2 * kIntFieldBound,
+              BinMsgId::kStepCompensate);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, step);
+  w.Int(4, epoch);
+  w.Finish();
+  return out;
 }
 
 Result<StepCompensateMsg> StepCompensateMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kStepCompensate, "StepCompensate"));
-    StepCompensateMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("StepCompensate", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.step);
-        case TagI(4): return r.Int(&m.epoch);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kStepCompensate, "StepCompensate"));
   StepCompensateMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<int64_t> step = reader.value().GetInt("step");
-  if (!step.ok()) return step.status();
-  m.step = static_cast<StepId>(step.value());
-  m.epoch = reader.value().GetIntOr("epoch", 0);
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("StepCompensate", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.step);
+      case TagI(4): return r.Int(&m.epoch);
+      default: return false;
+    }
+  }));
   return m;
 }
 
 // ---- StepCompletedMsg ----
 
 std::string StepCompletedMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out,
-                InstanceBound(instance) + 2 * kIntFieldBound +
-                    MapSectionBound(results),
-                BinMsgId::kStepCompleted);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, step);
-    w.Int(4, epoch);
-    w.Map(5, results);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.AddInt("step", step);
-  w.AddInt("epoch", epoch);
-  WriteDataMap(&w, "r.", results);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out,
+              InstanceBound(instance) + 2 * kIntFieldBound +
+                  MapSectionBound(results),
+              BinMsgId::kStepCompleted);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, step);
+  w.Int(4, epoch);
+  w.Map(5, results);
+  w.Finish();
+  return out;
 }
 
 Result<StepCompletedMsg> StepCompletedMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kStepCompleted, "StepCompleted"));
-    StepCompletedMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("StepCompleted", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.step);
-        case TagI(4): return r.Int(&m.epoch);
-        case TagI(5): return r.Map(&m.results);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kStepCompleted, "StepCompleted"));
   StepCompletedMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<int64_t> step = reader.value().GetInt("step");
-  if (!step.ok()) return step.status();
-  m.step = static_cast<StepId>(step.value());
-  m.epoch = reader.value().GetIntOr("epoch", 0);
-  CREW_RETURN_IF_ERROR(ReadDataMap(reader.value(), "r.", &m.results));
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("StepCompleted", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.step);
+      case TagI(4): return r.Int(&m.epoch);
+      case TagI(5): return r.Map(&m.results);
+      default: return false;
+    }
+  }));
   return m;
 }
 
 // ---- StepStatusMsg ----
 
 std::string StepStatusMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out, InstanceBound(instance) + 2 * kIntFieldBound,
-                BinMsgId::kStepStatus);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, step);
-    w.Int(4, reply_to);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.AddInt("step", step);
-  w.AddInt("reply_to", reply_to);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out, InstanceBound(instance) + 2 * kIntFieldBound,
+              BinMsgId::kStepStatus);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, step);
+  w.Int(4, reply_to);
+  w.Finish();
+  return out;
 }
 
 Result<StepStatusMsg> StepStatusMsg::Parse(const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kStepStatus, "StepStatus"));
-    StepStatusMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("StepStatus", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.step);
-        case TagI(4): return r.IntAs(&m.reply_to);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kStepStatus, "StepStatus"));
   StepStatusMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<int64_t> step = reader.value().GetInt("step");
-  if (!step.ok()) return step.status();
-  m.step = static_cast<StepId>(step.value());
-  m.reply_to = static_cast<NodeId>(
-      reader.value().GetIntOr("reply_to", kInvalidNode));
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("StepStatus", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.step);
+      case TagI(4): return r.IntAs(&m.reply_to);
+      default: return false;
+    }
+  }));
   return m;
 }
 
 // ---- StepStatusReplyMsg ----
 
 std::string StepStatusReplyMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out, InstanceBound(instance) + 3 * kIntFieldBound,
-                BinMsgId::kStepStatusReply);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, step);
-    w.Int(4, static_cast<int64_t>(state));
-    w.Int(5, responder);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.AddInt("step", step);
-  w.Add("state", StepRunStateName(state));
-  w.AddInt("responder", responder);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out, InstanceBound(instance) + 3 * kIntFieldBound,
+              BinMsgId::kStepStatusReply);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, step);
+  w.Int(4, static_cast<int64_t>(state));
+  w.Int(5, responder);
+  w.Finish();
+  return out;
 }
 
 Result<StepStatusReplyMsg> StepStatusReplyMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kStepStatusReply, "StepStatusReply"));
-    StepStatusReplyMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("StepStatusReply", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.step);
-        case TagI(4): {
-          int64_t v;
-          if (!r.Int(&v)) return false;
-          m.state = (v >= 0 && v <= 4) ? static_cast<StepRunState>(v)
-                                       : StepRunState::kUnknown;
-          return true;
-        }
-        case TagI(5): return r.IntAs(&m.responder);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kStepStatusReply, "StepStatusReply"));
   StepStatusReplyMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<int64_t> step = reader.value().GetInt("step");
-  if (!step.ok()) return step.status();
-  m.step = static_cast<StepId>(step.value());
-  Result<std::string> state = reader.value().GetRequired("state");
-  if (!state.ok()) return state.status();
-  m.state = ParseStepRunState(state.value());
-  m.responder = static_cast<NodeId>(
-      reader.value().GetIntOr("responder", kInvalidNode));
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("StepStatusReply", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.step);
+      case TagI(4): {
+        int64_t v;
+        if (!r.Int(&v)) return false;
+        m.state = (v >= 0 && v <= 4) ? static_cast<StepRunState>(v)
+                                     : StepRunState::kUnknown;
+        return true;
+      }
+      case TagI(5): return r.IntAs(&m.responder);
+      default: return false;
+    }
+  }));
   return m;
 }
 
 // ---- WorkflowRollbackMsg ----
 
 std::string WorkflowRollbackMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    // The embedded packet is a length-prefixed binary packet — no
-    // escaping needed, unlike the kv form.
-    std::string inner = state.SerializeBinary();
-    std::string out;
-    MsgWriter w(&out,
-                InstanceBound(instance) + 2 * kIntFieldBound +
-                    StrFieldBound(inner),
-                BinMsgId::kWorkflowRollback);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, origin_step);
-    w.Int(4, new_epoch);
-    w.Str(5, inner);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.AddInt("origin", origin_step);
-  w.AddInt("new_epoch", new_epoch);
-  // Embed the packet with escaped newlines.
+  // The embedded packet rides as one length-prefixed field.
   std::string inner = state.Serialize();
-  std::string escaped;
-  for (char c : inner) {
-    if (c == '\n') {
-      escaped += "\\n";
-    } else if (c == '\\') {
-      escaped += "\\\\";
-    } else {
-      escaped += c;
-    }
-  }
-  w.Add("state", escaped);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out,
+              InstanceBound(instance) + 2 * kIntFieldBound +
+                  StrFieldBound(inner),
+              BinMsgId::kWorkflowRollback);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, origin_step);
+  w.Int(4, new_epoch);
+  w.Str(5, inner);
+  w.Finish();
+  return out;
 }
 
 Result<WorkflowRollbackMsg> WorkflowRollbackMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kWorkflowRollback, "WorkflowRollback"));
-    WorkflowRollbackMsg m;
-    std::string_view inner;
-    bool saw_state = false;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("WorkflowRollback", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.origin_step);
-        case TagI(4): return r.Int(&m.new_epoch);
-        case TagS(5): saw_state = true; return r.View(&inner);
-        default: return false;
-      }
-    }));
-    if (!saw_state) {
-      return Status::Corruption("WorkflowRollback missing embedded packet");
-    }
-    Result<WorkflowPacket> packet = WorkflowPacket::Parse(std::string(inner));
-    if (!packet.ok()) return packet.status();
-    m.state = std::move(packet).value();
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kWorkflowRollback, "WorkflowRollback"));
   WorkflowRollbackMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<int64_t> origin = reader.value().GetInt("origin");
-  if (!origin.ok()) return origin.status();
-  m.origin_step = static_cast<StepId>(origin.value());
-  m.new_epoch = reader.value().GetIntOr("new_epoch", 0);
-  Result<std::string> escaped = reader.value().GetRequired("state");
-  if (!escaped.ok()) return escaped.status();
-  std::string inner;
-  const std::string& e = escaped.value();
-  for (size_t i = 0; i < e.size(); ++i) {
-    if (e[i] == '\\' && i + 1 < e.size()) {
-      ++i;
-      inner += (e[i] == 'n') ? '\n' : e[i];
-    } else {
-      inner += e[i];
+  std::string_view inner;
+  bool saw_state = false;
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("WorkflowRollback", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.origin_step);
+      case TagI(4): return r.Int(&m.new_epoch);
+      case TagS(5): saw_state = true; return r.View(&inner);
+      default: return false;
     }
+  }));
+  if (!saw_state) {
+    return Status::Corruption("WorkflowRollback missing embedded packet");
   }
-  Result<WorkflowPacket> packet = WorkflowPacket::Parse(inner);
+  Result<WorkflowPacket> packet = WorkflowPacket::Parse(std::string(inner));
   if (!packet.ok()) return packet.status();
   m.state = std::move(packet).value();
   return m;
@@ -904,166 +640,95 @@ Result<WorkflowRollbackMsg> WorkflowRollbackMsg::Parse(
 // ---- HaltThreadMsg ----
 
 std::string HaltThreadMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out, InstanceBound(instance) + 2 * kIntFieldBound,
-                BinMsgId::kHaltThread);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, origin_step);
-    w.Int(4, new_epoch);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.AddInt("origin", origin_step);
-  w.AddInt("new_epoch", new_epoch);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out, InstanceBound(instance) + 2 * kIntFieldBound,
+              BinMsgId::kHaltThread);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, origin_step);
+  w.Int(4, new_epoch);
+  w.Finish();
+  return out;
 }
 
 Result<HaltThreadMsg> HaltThreadMsg::Parse(const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kHaltThread, "HaltThread"));
-    HaltThreadMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("HaltThread", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.origin_step);
-        case TagI(4): return r.Int(&m.new_epoch);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kHaltThread, "HaltThread"));
   HaltThreadMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<int64_t> origin = reader.value().GetInt("origin");
-  if (!origin.ok()) return origin.status();
-  m.origin_step = static_cast<StepId>(origin.value());
-  m.new_epoch = reader.value().GetIntOr("new_epoch", 0);
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("HaltThread", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.origin_step);
+      case TagI(4): return r.Int(&m.new_epoch);
+      default: return false;
+    }
+  }));
   return m;
 }
 
 // ---- CompensateSetMsg ----
 
 std::string CompensateSetMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string inner = resume.SerializeBinary();
-    std::string out;
-    size_t remaining_bound =
-        remaining.empty() ? 0 : 1 + 5 + remaining.size() * kMaxVarintBytes;
-    MsgWriter w(&out,
-                InstanceBound(instance) + 3 * kIntFieldBound +
-                    remaining_bound + StrFieldBound(inner),
-                BinMsgId::kCompensateSet);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, origin_step);
-    w.Int(4, epoch);
-    w.Int(5, resume_agent);
-    if (!remaining.empty()) {
-      w.w().U8(TagI(6));
-      w.w().Varint(remaining.size());
-      for (StepId s : remaining) w.w().Zig(s);
-    }
-    w.Str(7, inner);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.AddInt("origin", origin_step);
-  w.AddInt("epoch", epoch);
-  w.AddInt("resume_agent", resume_agent);
-  for (StepId s : remaining) w.AddInt("s", s);
   std::string inner = resume.Serialize();
-  std::string escaped;
-  for (char c : inner) {
-    if (c == '\n') {
-      escaped += "\\n";
-    } else if (c == '\\') {
-      escaped += "\\\\";
-    } else {
-      escaped += c;
-    }
+  std::string out;
+  size_t remaining_bound =
+      remaining.empty() ? 0 : 1 + 5 + remaining.size() * kMaxVarintBytes;
+  MsgWriter w(&out,
+              InstanceBound(instance) + 3 * kIntFieldBound +
+                  remaining_bound + StrFieldBound(inner),
+              BinMsgId::kCompensateSet);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, origin_step);
+  w.Int(4, epoch);
+  w.Int(5, resume_agent);
+  if (!remaining.empty()) {
+    w.w().U8(TagI(6));
+    w.w().Varint(remaining.size());
+    for (StepId s : remaining) w.w().Zig(s);
   }
-  w.Add("resume", escaped);
-  return w.Finish();
+  w.Str(7, inner);
+  w.Finish();
+  return out;
 }
 
 Result<CompensateSetMsg> CompensateSetMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kCompensateSet, "CompensateSet"));
-    CompensateSetMsg m;
-    std::string_view inner;
-    bool saw_resume = false;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("CompensateSet", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.origin_step);
-        case TagI(4): return r.Int(&m.epoch);
-        case TagI(5): return r.IntAs(&m.resume_agent);
-        case TagI(6): {
-          uint64_t count;
-          if (!r.r().Varint(&count) || count > r.r().remaining()) {
-            return false;
-          }
-          for (uint64_t i = 0; i < count; ++i) {
-            int64_t s;
-            if (!r.r().Zig(&s)) return false;
-            m.remaining.push_back(static_cast<StepId>(s));
-          }
-          return true;
-        }
-        case TagS(7): saw_resume = true; return r.View(&inner);
-        default: return false;
-      }
-    }));
-    if (!saw_resume) {
-      return Status::Corruption("CompensateSet missing embedded packet");
-    }
-    Result<WorkflowPacket> packet = WorkflowPacket::Parse(std::string(inner));
-    if (!packet.ok()) return packet.status();
-    m.resume = std::move(packet).value();
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kCompensateSet, "CompensateSet"));
   CompensateSetMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<int64_t> origin = reader.value().GetInt("origin");
-  if (!origin.ok()) return origin.status();
-  m.origin_step = static_cast<StepId>(origin.value());
-  m.epoch = reader.value().GetIntOr("epoch", 0);
-  m.resume_agent = static_cast<NodeId>(
-      reader.value().GetIntOr("resume_agent", kInvalidNode));
-  for (const std::string& raw : reader.value().GetAll("s")) {
-    m.remaining.push_back(
-        static_cast<StepId>(strtol(raw.c_str(), nullptr, 10)));
-  }
-  Result<std::string> escaped = reader.value().GetRequired("resume");
-  if (!escaped.ok()) return escaped.status();
-  std::string inner;
-  const std::string& e = escaped.value();
-  for (size_t i = 0; i < e.size(); ++i) {
-    if (e[i] == '\\' && i + 1 < e.size()) {
-      ++i;
-      inner += (e[i] == 'n') ? '\n' : e[i];
-    } else {
-      inner += e[i];
+  std::string_view inner;
+  bool saw_resume = false;
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("CompensateSet", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.origin_step);
+      case TagI(4): return r.Int(&m.epoch);
+      case TagI(5): return r.IntAs(&m.resume_agent);
+      case TagI(6): {
+        uint64_t count;
+        if (!r.r().Varint(&count) || count > r.r().remaining()) {
+          return false;
+        }
+        for (uint64_t i = 0; i < count; ++i) {
+          int64_t s;
+          if (!r.r().Zig(&s)) return false;
+          m.remaining.push_back(static_cast<StepId>(s));
+        }
+        return true;
+      }
+      case TagS(7): saw_resume = true; return r.View(&inner);
+      default: return false;
     }
+  }));
+  if (!saw_resume) {
+    return Status::Corruption("CompensateSet missing embedded packet");
   }
-  Result<WorkflowPacket> packet = WorkflowPacket::Parse(inner);
+  Result<WorkflowPacket> packet = WorkflowPacket::Parse(std::string(inner));
   if (!packet.ok()) return packet.status();
   m.resume = std::move(packet).value();
   return m;
@@ -1072,602 +737,384 @@ Result<CompensateSetMsg> CompensateSetMsg::Parse(
 // ---- CompensateThreadMsg ----
 
 std::string CompensateThreadMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out, InstanceBound(instance) + 3 * kIntFieldBound,
-                BinMsgId::kCompensateThread);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, step);
-    w.Int(4, until_join);
-    w.Int(5, epoch);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.AddInt("step", step);
-  w.AddInt("until", until_join);
-  w.AddInt("epoch", epoch);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out, InstanceBound(instance) + 3 * kIntFieldBound,
+              BinMsgId::kCompensateThread);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, step);
+  w.Int(4, until_join);
+  w.Int(5, epoch);
+  w.Finish();
+  return out;
 }
 
 Result<CompensateThreadMsg> CompensateThreadMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kCompensateThread, "CompensateThread"));
-    CompensateThreadMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("CompensateThread", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.step);
-        case TagI(4): return r.IntAs(&m.until_join);
-        case TagI(5): return r.Int(&m.epoch);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kCompensateThread, "CompensateThread"));
   CompensateThreadMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<int64_t> step = reader.value().GetInt("step");
-  if (!step.ok()) return step.status();
-  m.step = static_cast<StepId>(step.value());
-  m.until_join =
-      static_cast<StepId>(reader.value().GetIntOr("until", kInvalidStep));
-  m.epoch = reader.value().GetIntOr("epoch", 0);
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("CompensateThread", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.step);
+      case TagI(4): return r.IntAs(&m.until_join);
+      case TagI(5): return r.Int(&m.epoch);
+      default: return false;
+    }
+  }));
   return m;
 }
 
 // ---- StateInformationMsg ----
 
 std::string StateInformationMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out, InstanceBound(instance) + 2 * kIntFieldBound,
-                BinMsgId::kStateInformation);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, reply_to);
-    w.Int(4, step);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  w.AddInt("reply_to", reply_to);
-  w.Add("wf", instance.workflow);
-  w.AddInt("inst", instance.number);
-  w.AddInt("step", step);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out, InstanceBound(instance) + 2 * kIntFieldBound,
+              BinMsgId::kStateInformation);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, reply_to);
+  w.Int(4, step);
+  w.Finish();
+  return out;
 }
 
 Result<StateInformationMsg> StateInformationMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kStateInformation, "StateInformation"));
-    StateInformationMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("StateInformation", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.reply_to);
-        case TagI(4): return r.IntAs(&m.step);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kStateInformation, "StateInformation"));
   StateInformationMsg m;
-  m.reply_to = static_cast<NodeId>(
-      reader.value().GetIntOr("reply_to", kInvalidNode));
-  m.instance.workflow = reader.value().Get("wf").value_or("");
-  m.instance.number = reader.value().GetIntOr("inst", 0);
-  m.step = static_cast<StepId>(reader.value().GetIntOr("step", 0));
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("StateInformation", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.reply_to);
+      case TagI(4): return r.IntAs(&m.step);
+      default: return false;
+    }
+  }));
   return m;
 }
 
 // ---- StateInformationReplyMsg ----
 
 std::string StateInformationReplyMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out, InstanceBound(instance) + 3 * kIntFieldBound,
-                BinMsgId::kStateInformationReply);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, responder);
-    w.Int(4, load);
-    w.Int(5, step);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  w.AddInt("responder", responder);
-  w.AddInt("load", load);
-  w.Add("wf", instance.workflow);
-  w.AddInt("inst", instance.number);
-  w.AddInt("step", step);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out, InstanceBound(instance) + 3 * kIntFieldBound,
+              BinMsgId::kStateInformationReply);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, responder);
+  w.Int(4, load);
+  w.Int(5, step);
+  w.Finish();
+  return out;
 }
 
 Result<StateInformationReplyMsg> StateInformationReplyMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(CheckBinId(payload, BinMsgId::kStateInformationReply,
-                                    "StateInformationReply"));
-    StateInformationReplyMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("StateInformationReply", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.responder);
-        case TagI(4): return r.Int(&m.load);
-        case TagI(5): return r.IntAs(&m.step);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(CheckBinId(payload, BinMsgId::kStateInformationReply,
+                                  "StateInformationReply"));
   StateInformationReplyMsg m;
-  m.responder = static_cast<NodeId>(
-      reader.value().GetIntOr("responder", kInvalidNode));
-  m.load = reader.value().GetIntOr("load", 0);
-  m.instance.workflow = reader.value().Get("wf").value_or("");
-  m.instance.number = reader.value().GetIntOr("inst", 0);
-  m.step = static_cast<StepId>(reader.value().GetIntOr("step", 0));
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("StateInformationReply", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.responder);
+      case TagI(4): return r.Int(&m.load);
+      case TagI(5): return r.IntAs(&m.step);
+      default: return false;
+    }
+  }));
   return m;
 }
 
 // ---- AddRuleMsg ----
 
 std::string AddRuleMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    size_t triggers_bound = trigger_events.empty() ? 0 : 1 + 5;
-    for (const std::string& token : trigger_events) {
-      triggers_bound += BytesBound(token);
-    }
-    MsgWriter w(&out,
-                InstanceBound(instance) + StrFieldBound(rule_id) +
-                    triggers_bound + StrFieldBound(condition_source) +
-                    kIntFieldBound,
-                BinMsgId::kAddRule);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Str(3, rule_id);
-    if (!trigger_events.empty()) {
-      w.w().U8(TagI(4));
-      w.w().Varint(trigger_events.size());
-      for (const std::string& token : trigger_events) w.w().Bytes(token);
-    }
-    if (!condition_source.empty()) w.Str(5, condition_source);
-    w.Int(6, action_step);
-    w.Finish();
-    return out;
+  std::string out;
+  size_t triggers_bound = trigger_events.empty() ? 0 : 1 + 5;
+  for (const std::string& token : trigger_events) {
+    triggers_bound += BytesBound(token);
   }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.Add("rule", rule_id);
-  for (const std::string& token : trigger_events) w.Add("ev", token);
-  if (!condition_source.empty()) w.Add("cond", condition_source);
-  w.AddInt("action_step", action_step);
-  return w.Finish();
+  MsgWriter w(&out,
+              InstanceBound(instance) + StrFieldBound(rule_id) +
+                  triggers_bound + StrFieldBound(condition_source) +
+                  kIntFieldBound,
+              BinMsgId::kAddRule);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Str(3, rule_id);
+  if (!trigger_events.empty()) {
+    w.w().U8(TagI(4));
+    w.w().Varint(trigger_events.size());
+    for (const std::string& token : trigger_events) w.w().Bytes(token);
+  }
+  if (!condition_source.empty()) w.Str(5, condition_source);
+  w.Int(6, action_step);
+  w.Finish();
+  return out;
 }
 
 Result<AddRuleMsg> AddRuleMsg::Parse(const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(CheckBinId(payload, BinMsgId::kAddRule, "AddRule"));
-    AddRuleMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("AddRule", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagS(3): return r.Str(&m.rule_id);
-        case TagI(4): {
-          uint64_t count;
-          if (!r.r().Varint(&count) || count > r.r().remaining()) {
-            return false;
-          }
-          m.trigger_events.reserve(m.trigger_events.size() + count);
-          for (uint64_t i = 0; i < count; ++i) {
-            std::string_view token;
-            if (!r.r().Bytes(&token)) return false;
-            m.trigger_events.emplace_back(token);
-          }
-          return true;
-        }
-        case TagS(5): return r.Str(&m.condition_source);
-        case TagI(6): return r.IntAs(&m.action_step);
-        default: return false;
-      }
-    }));
-    if (m.rule_id.empty()) {
-      return Status::Corruption("AddRule missing rule id");
-    }
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(CheckBinId(payload, BinMsgId::kAddRule, "AddRule"));
   AddRuleMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<std::string> rule = reader.value().GetRequired("rule");
-  if (!rule.ok()) return rule.status();
-  m.rule_id = std::move(rule).value();
-  m.trigger_events = reader.value().GetAll("ev");
-  m.condition_source = reader.value().Get("cond").value_or("");
-  m.action_step =
-      static_cast<StepId>(reader.value().GetIntOr("action_step", 0));
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("AddRule", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagS(3): return r.Str(&m.rule_id);
+      case TagI(4): {
+        uint64_t count;
+        if (!r.r().Varint(&count) || count > r.r().remaining()) {
+          return false;
+        }
+        m.trigger_events.reserve(m.trigger_events.size() + count);
+        for (uint64_t i = 0; i < count; ++i) {
+          std::string_view token;
+          if (!r.r().Bytes(&token)) return false;
+          m.trigger_events.emplace_back(token);
+        }
+        return true;
+      }
+      case TagS(5): return r.Str(&m.condition_source);
+      case TagI(6): return r.IntAs(&m.action_step);
+      default: return false;
+    }
+  }));
+  if (m.rule_id.empty()) {
+    return Status::Corruption("AddRule missing rule id");
+  }
   return m;
 }
 
 // ---- AddEventMsg ----
 
 std::string AddEventMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out, InstanceBound(instance) + StrFieldBound(event_token),
-                BinMsgId::kAddEvent);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Str(3, event_token);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.Add("event", event_token);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out, InstanceBound(instance) + StrFieldBound(event_token),
+              BinMsgId::kAddEvent);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Str(3, event_token);
+  w.Finish();
+  return out;
 }
 
 Result<AddEventMsg> AddEventMsg::Parse(const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kAddEvent, "AddEvent"));
-    AddEventMsg m;
-    bool saw_event = false;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("AddEvent", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagS(3): saw_event = true; return r.Str(&m.event_token);
-        default: return false;
-      }
-    }));
-    if (!saw_event) return Status::Corruption("AddEvent missing event");
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kAddEvent, "AddEvent"));
   AddEventMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<std::string> event = reader.value().GetRequired("event");
-  if (!event.ok()) return event.status();
-  m.event_token = std::move(event).value();
+  bool saw_event = false;
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("AddEvent", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagS(3): saw_event = true; return r.Str(&m.event_token);
+      default: return false;
+    }
+  }));
+  if (!saw_event) return Status::Corruption("AddEvent missing event");
   return m;
 }
 
 // ---- AddPreconditionMsg ----
 
 std::string AddPreconditionMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out,
-                InstanceBound(instance) + StrFieldBound(rule_id) +
-                    StrFieldBound(event_token),
-                BinMsgId::kAddPrecondition);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Str(3, rule_id);
-    w.Str(4, event_token);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.Add("rule", rule_id);
-  w.Add("event", event_token);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out,
+              InstanceBound(instance) + StrFieldBound(rule_id) +
+                  StrFieldBound(event_token),
+              BinMsgId::kAddPrecondition);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Str(3, rule_id);
+  w.Str(4, event_token);
+  w.Finish();
+  return out;
 }
 
 Result<AddPreconditionMsg> AddPreconditionMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kAddPrecondition, "AddPrecondition"));
-    AddPreconditionMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("AddPrecondition", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagS(3): return r.Str(&m.rule_id);
-        case TagS(4): return r.Str(&m.event_token);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kAddPrecondition, "AddPrecondition"));
   AddPreconditionMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<std::string> rule = reader.value().GetRequired("rule");
-  if (!rule.ok()) return rule.status();
-  m.rule_id = std::move(rule).value();
-  Result<std::string> event = reader.value().GetRequired("event");
-  if (!event.ok()) return event.status();
-  m.event_token = std::move(event).value();
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("AddPrecondition", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagS(3): return r.Str(&m.rule_id);
+      case TagS(4): return r.Str(&m.event_token);
+      default: return false;
+    }
+  }));
   return m;
 }
 
 // ---- RunProgramMsg ----
 
 std::string RunProgramMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out,
-                InstanceBound(instance) + StrFieldBound(program) +
-                    8 * kIntFieldBound + MapSectionBound(inputs),
-                BinMsgId::kRunProgram);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, step);
-    w.Str(4, program);
-    w.Int(5, attempt);
-    w.Int(6, compensation ? 1 : 0);
-    // Same ppm quantization as the kv form, so both codecs round-trip to
-    // identical parsed values.
-    w.Int(7, static_cast<int64_t>(cost_fraction * 1'000'000));
-    w.Int(8, nominal_cost);
-    w.Int(9, designated);
-    w.Int(10, reply_to);
-    w.Int(11, epoch);
-    w.Map(12, inputs);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.AddInt("step", step);
-  w.Add("program", program);
-  w.AddInt("attempt", attempt);
-  w.AddInt("compensation", compensation ? 1 : 0);
-  w.AddInt("cost_fraction_ppm",
-           static_cast<int64_t>(cost_fraction * 1'000'000));
-  w.AddInt("nominal_cost", nominal_cost);
-  w.AddInt("designated", designated);
-  w.AddInt("reply_to", reply_to);
-  w.AddInt("epoch", epoch);
-  WriteDataMap(&w, "i.", inputs);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out,
+              InstanceBound(instance) + StrFieldBound(program) +
+                  8 * kIntFieldBound + MapSectionBound(inputs),
+              BinMsgId::kRunProgram);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, step);
+  w.Str(4, program);
+  w.Int(5, attempt);
+  w.Int(6, compensation ? 1 : 0);
+  // Quantized to parts per million, so a parsed message re-encodes to
+  // the same bytes.
+  w.Int(7, static_cast<int64_t>(cost_fraction * 1'000'000));
+  w.Int(8, nominal_cost);
+  w.Int(9, designated);
+  w.Int(10, reply_to);
+  w.Int(11, epoch);
+  w.Map(12, inputs);
+  w.Finish();
+  return out;
 }
 
 Result<RunProgramMsg> RunProgramMsg::Parse(const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kRunProgram, "RunProgram"));
-    RunProgramMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("RunProgram", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.step);
-        case TagS(4): return r.Str(&m.program);
-        case TagI(5): return r.IntAs(&m.attempt);
-        case TagI(6): return r.Flag(&m.compensation);
-        case TagI(7): {
-          int64_t ppm;
-          if (!r.Int(&ppm)) return false;
-          m.cost_fraction = static_cast<double>(ppm) / 1'000'000.0;
-          return true;
-        }
-        case TagI(8): return r.Int(&m.nominal_cost);
-        case TagI(9): return r.IntAs(&m.designated);
-        case TagI(10): return r.IntAs(&m.reply_to);
-        case TagI(11): return r.Int(&m.epoch);
-        case TagI(12): return r.Map(&m.inputs);
-        default: return false;
-      }
-    }));
-    if (m.program.empty()) {
-      return Status::Corruption("RunProgram missing program");
-    }
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kRunProgram, "RunProgram"));
   RunProgramMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<int64_t> step = reader.value().GetInt("step");
-  if (!step.ok()) return step.status();
-  m.step = static_cast<StepId>(step.value());
-  Result<std::string> program = reader.value().GetRequired("program");
-  if (!program.ok()) return program.status();
-  m.program = std::move(program).value();
-  m.attempt = static_cast<int>(reader.value().GetIntOr("attempt", 1));
-  m.compensation = reader.value().GetIntOr("compensation", 0) != 0;
-  m.cost_fraction =
-      static_cast<double>(reader.value().GetIntOr("cost_fraction_ppm",
-                                                  1'000'000)) /
-      1'000'000.0;
-  m.nominal_cost = reader.value().GetIntOr("nominal_cost", 0);
-  m.designated = static_cast<NodeId>(
-      reader.value().GetIntOr("designated", kInvalidNode));
-  m.reply_to = static_cast<NodeId>(
-      reader.value().GetIntOr("reply_to", kInvalidNode));
-  m.epoch = reader.value().GetIntOr("epoch", 0);
-  CREW_RETURN_IF_ERROR(ReadDataMap(reader.value(), "i.", &m.inputs));
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("RunProgram", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.step);
+      case TagS(4): return r.Str(&m.program);
+      case TagI(5): return r.IntAs(&m.attempt);
+      case TagI(6): return r.Flag(&m.compensation);
+      case TagI(7): {
+        int64_t ppm;
+        if (!r.Int(&ppm)) return false;
+        m.cost_fraction = static_cast<double>(ppm) / 1'000'000.0;
+        return true;
+      }
+      case TagI(8): return r.Int(&m.nominal_cost);
+      case TagI(9): return r.IntAs(&m.designated);
+      case TagI(10): return r.IntAs(&m.reply_to);
+      case TagI(11): return r.Int(&m.epoch);
+      case TagI(12): return r.Map(&m.inputs);
+      default: return false;
+    }
+  }));
+  if (m.program.empty()) {
+    return Status::Corruption("RunProgram missing program");
+  }
   return m;
 }
 
 // ---- RunProgramReplyMsg ----
 
 std::string RunProgramReplyMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    MsgWriter w(&out,
-                InstanceBound(instance) + 8 * kIntFieldBound +
-                    MapSectionBound(outputs),
-                BinMsgId::kRunProgramReply);
-    w.Str(1, instance.workflow);
-    w.Int(2, instance.number);
-    w.Int(3, step);
-    w.Int(4, ack_only ? 1 : 0);
-    w.Int(5, success ? 1 : 0);
-    w.Int(6, compensation ? 1 : 0);
-    w.Int(7, cost);
-    w.Int(8, epoch);
-    w.Int(9, agent_load);
-    w.Int(10, responder);
-    w.Map(11, outputs);
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
-  WriteInstance(&w, instance);
-  w.AddInt("step", step);
-  w.AddInt("ack_only", ack_only ? 1 : 0);
-  w.AddInt("success", success ? 1 : 0);
-  w.AddInt("compensation", compensation ? 1 : 0);
-  w.AddInt("cost", cost);
-  w.AddInt("epoch", epoch);
-  w.AddInt("agent_load", agent_load);
-  w.AddInt("responder", responder);
-  WriteDataMap(&w, "o.", outputs);
-  return w.Finish();
+  std::string out;
+  MsgWriter w(&out,
+              InstanceBound(instance) + 8 * kIntFieldBound +
+                  MapSectionBound(outputs),
+              BinMsgId::kRunProgramReply);
+  w.Str(1, instance.workflow);
+  w.Int(2, instance.number);
+  w.Int(3, step);
+  w.Int(4, ack_only ? 1 : 0);
+  w.Int(5, success ? 1 : 0);
+  w.Int(6, compensation ? 1 : 0);
+  w.Int(7, cost);
+  w.Int(8, epoch);
+  w.Int(9, agent_load);
+  w.Int(10, responder);
+  w.Map(11, outputs);
+  w.Finish();
+  return out;
 }
 
 Result<RunProgramReplyMsg> RunProgramReplyMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kRunProgramReply, "RunProgramReply"));
-    RunProgramReplyMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("RunProgramReply", [&](uint8_t tag) {
-      switch (tag) {
-        case TagS(1): return r.Str(&m.instance.workflow);
-        case TagI(2): return r.Int(&m.instance.number);
-        case TagI(3): return r.IntAs(&m.step);
-        case TagI(4): return r.Flag(&m.ack_only);
-        case TagI(5): return r.Flag(&m.success);
-        case TagI(6): return r.Flag(&m.compensation);
-        case TagI(7): return r.Int(&m.cost);
-        case TagI(8): return r.Int(&m.epoch);
-        case TagI(9): return r.Int(&m.agent_load);
-        case TagI(10): return r.IntAs(&m.responder);
-        case TagI(11): return r.Map(&m.outputs);
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kRunProgramReply, "RunProgramReply"));
   RunProgramReplyMsg m;
-  CREW_RETURN_IF_ERROR(ReadInstance(reader.value(), &m.instance));
-  Result<int64_t> step = reader.value().GetInt("step");
-  if (!step.ok()) return step.status();
-  m.step = static_cast<StepId>(step.value());
-  m.ack_only = reader.value().GetIntOr("ack_only", 0) != 0;
-  m.success = reader.value().GetIntOr("success", 0) != 0;
-  m.compensation = reader.value().GetIntOr("compensation", 0) != 0;
-  m.cost = reader.value().GetIntOr("cost", 0);
-  m.epoch = reader.value().GetIntOr("epoch", 0);
-  m.agent_load = reader.value().GetIntOr("agent_load", 0);
-  m.responder = static_cast<NodeId>(
-      reader.value().GetIntOr("responder", kInvalidNode));
-  CREW_RETURN_IF_ERROR(ReadDataMap(reader.value(), "o.", &m.outputs));
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("RunProgramReply", [&](uint8_t tag) {
+    switch (tag) {
+      case TagS(1): return r.Str(&m.instance.workflow);
+      case TagI(2): return r.Int(&m.instance.number);
+      case TagI(3): return r.IntAs(&m.step);
+      case TagI(4): return r.Flag(&m.ack_only);
+      case TagI(5): return r.Flag(&m.success);
+      case TagI(6): return r.Flag(&m.compensation);
+      case TagI(7): return r.Int(&m.cost);
+      case TagI(8): return r.Int(&m.epoch);
+      case TagI(9): return r.Int(&m.agent_load);
+      case TagI(10): return r.IntAs(&m.responder);
+      case TagI(11): return r.Map(&m.outputs);
+      default: return false;
+    }
+  }));
   return m;
 }
 
 // ---- PurgeInstancesMsg ----
 
 std::string PurgeInstancesMsg::Serialize() const {
-  if (ActivePayloadCodec() == PayloadCodec::kBinary) {
-    std::string out;
-    size_t bound = committed.empty() ? 0 : 1 + 5;
-    for (const InstanceId& id : committed) {
-      bound += BytesBound(id.workflow) + kMaxVarintBytes;
-    }
-    MsgWriter w(&out, bound, BinMsgId::kPurgeInstances);
-    if (!committed.empty()) {
-      w.w().U8(TagI(1));
-      w.w().Varint(committed.size());
-      for (const InstanceId& id : committed) {
-        w.w().Bytes(id.workflow);
-        w.w().Zig(id.number);
-      }
-    }
-    w.Finish();
-    return out;
-  }
-  KvWriter w;
+  std::string out;
+  size_t bound = committed.empty() ? 0 : 1 + 5;
   for (const InstanceId& id : committed) {
-    w.Add("c", id.workflow + "#" + std::to_string(id.number));
+    bound += BytesBound(id.workflow) + kMaxVarintBytes;
   }
-  return w.Finish();
+  MsgWriter w(&out, bound, BinMsgId::kPurgeInstances);
+  if (!committed.empty()) {
+    w.w().U8(TagI(1));
+    w.w().Varint(committed.size());
+    for (const InstanceId& id : committed) {
+      w.w().Bytes(id.workflow);
+      w.w().Zig(id.number);
+    }
+  }
+  w.Finish();
+  return out;
 }
 
 Result<PurgeInstancesMsg> PurgeInstancesMsg::Parse(
     const std::string& payload) {
-  if (LooksBinary(payload)) {
-    CREW_RETURN_IF_ERROR(
-        CheckBinId(payload, BinMsgId::kPurgeInstances, "PurgeInstances"));
-    PurgeInstancesMsg m;
-    MsgReader r(payload);
-    CREW_RETURN_IF_ERROR(r.Drive("PurgeInstances", [&](uint8_t tag) {
-      switch (tag) {
-        case TagI(1): {
-          uint64_t count;
-          if (!r.r().Varint(&count) || count > r.r().remaining()) {
-            return false;
-          }
-          m.committed.reserve(m.committed.size() + count);
-          for (uint64_t i = 0; i < count; ++i) {
-            std::string_view wf;
-            int64_t number;
-            if (!r.r().Bytes(&wf) || !r.r().Zig(&number)) return false;
-            InstanceId id;
-            id.workflow.assign(wf);
-            id.number = number;
-            m.committed.push_back(std::move(id));
-          }
-          return true;
-        }
-        default: return false;
-      }
-    }));
-    return m;
-  }
-  Result<KvReader> reader = KvReader::Parse(payload);
-  if (!reader.ok()) return reader.status();
+  CREW_RETURN_IF_ERROR(
+      CheckBinId(payload, BinMsgId::kPurgeInstances, "PurgeInstances"));
   PurgeInstancesMsg m;
-  for (const std::string& raw : reader.value().GetAll("c")) {
-    size_t hash = raw.rfind('#');
-    if (hash == std::string::npos) {
-      return Status::Corruption("bad committed id: " + raw);
+  MsgReader r(payload);
+  CREW_RETURN_IF_ERROR(r.Drive("PurgeInstances", [&](uint8_t tag) {
+    switch (tag) {
+      case TagI(1): {
+        uint64_t count;
+        if (!r.r().Varint(&count) || count > r.r().remaining()) {
+          return false;
+        }
+        m.committed.reserve(m.committed.size() + count);
+        for (uint64_t i = 0; i < count; ++i) {
+          std::string_view wf;
+          int64_t number;
+          if (!r.r().Bytes(&wf) || !r.r().Zig(&number)) return false;
+          InstanceId id;
+          id.workflow.assign(wf);
+          id.number = number;
+          m.committed.push_back(std::move(id));
+        }
+        return true;
+      }
+      default: return false;
     }
-    InstanceId id;
-    id.workflow = raw.substr(0, hash);
-    id.number = strtoll(raw.c_str() + hash + 1, nullptr, 10);
-    m.committed.push_back(std::move(id));
-  }
+  }));
   return m;
 }
 

@@ -63,8 +63,9 @@ enum class StepRunState {
 const char* StepRunStateName(StepRunState state);
 StepRunState ParseStepRunState(const std::string& name);
 
-// ---- Typed payloads. Each Serialize()s to the kv wire format and
-// Parse()s back; agents construct the sim::Message around them. ----
+// ---- Typed payloads. Each Serialize()s to the binary wire format
+// (runtime/codec.h) and Parse()s back; agents construct the sim::Message
+// around them. ----
 
 struct WorkflowStartMsg {
   InstanceId instance;

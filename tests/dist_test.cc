@@ -4,6 +4,8 @@
 #include "dist/system.h"
 #include "expr/parser.h"
 #include "model/builder.h"
+#include "runtime/wire.h"
+#include "workload/driver.h"
 
 namespace crew::dist {
 namespace {
@@ -645,6 +647,100 @@ TEST(DistAgentTest, AgdbPersistsStepRecords) {
     EXPECT_TRUE(recovered);
   }
   fs::remove_all(dir);
+}
+
+// An instance can end (here: abort) while a re-execution of one of its
+// mutex steps holds the lock. The purge must hand that grant back to the
+// arbiter, or every later request for the resource queues behind a
+// holder that never finishes. Before purges released held grants, this
+// input left 6 of its 200 instances unfinished.
+TEST(DistAgentTest, AbortsUnderMutualExclusionAllTerminate) {
+  workload::Params params;
+  params.num_schemas = 4;
+  params.steps_per_workflow = 15;
+  params.instances_per_schema = 50;
+  params.seed = 8;
+  params.mutex_steps = 2;
+  params.p_abort = 0.1;
+  params.p_step_failure = 0;
+  params.p_input_change = 0;
+  params.relative_order_steps = 0;
+  params.rollback_dep_steps = 0;
+  workload::RunResult result =
+      workload::RunWorkload(params, workload::Architecture::kDistributed);
+  EXPECT_EQ(result.started, 200);
+  EXPECT_EQ(result.committed + result.aborted, result.started)
+      << result.Describe();
+}
+
+class RecordingHandler : public sim::MessageHandler {
+ public:
+  void HandleMessage(const sim::Message& message) override {
+    messages.push_back(message);
+  }
+  std::vector<sim::Message> messages;
+};
+
+// A grant that reaches a replica re-created after its instance was
+// purged must go straight back to the arbiter: the replica never runs
+// the step, so keeping the grant would block the resource for good.
+TEST(DistAgentTest, GrantToEndedInstanceIsReleasedToArbiter) {
+  DistFixture fix(/*agents=*/4);
+  runtime::MutexReq me;
+  me.id = "m";
+  me.resource = "machine";
+  me.critical_steps = {{"Wf", 2}};
+  fix.coordination_.mutexes.push_back(me);
+  fix.Register(Seq("Wf", 3));
+  InstanceId id = fix.Start("Wf");
+  fix.Run();
+  ASSERT_EQ(fix.system_->front_end().KnownStatus(id),
+            WorkflowState::kCommitted);
+
+  // Step 2 is eligible at the second and third agent; the lower id
+  // arbitrates. Stand in for the arbiter to see what reaches it.
+  const std::vector<NodeId>& ids = fix.system_->agent_ids();
+  NodeId arbiter = ids[1];
+  NodeId agent = ids[2];
+  RecordingHandler recorder;
+  fix.simulator_.network().Register(arbiter, &recorder);
+
+  // A late rollback re-creates a replica of the ended instance ...
+  runtime::WorkflowRollbackMsg rollback;
+  rollback.instance = id;
+  rollback.origin_step = 1;
+  rollback.new_epoch = 5;
+  rollback.state.instance = id;
+  rollback.state.target_step = 1;
+  ASSERT_TRUE(fix.simulator_.network()
+                  .Send({kFrontEndNode, agent, runtime::wi::kWorkflowRollback,
+                         rollback.Serialize(),
+                         sim::MsgCategory::kFailureHandling})
+                  .ok());
+  fix.Run();
+  // ... and then the arbiter's grant for it arrives.
+  runtime::AddEventMsg grant;
+  grant.instance = id;
+  grant.event_token = "me.grant:machine:S2";
+  ASSERT_TRUE(fix.simulator_.network()
+                  .Send({arbiter, agent, runtime::wi::kAddEvent,
+                         grant.Serialize(), sim::MsgCategory::kCoordination})
+                  .ok());
+  fix.Run();
+
+  bool released = false;
+  for (const sim::Message& message : recorder.messages) {
+    if (message.type != runtime::wi::kAddRule) continue;
+    Result<runtime::AddRuleMsg> rule =
+        runtime::AddRuleMsg::Parse(message.payload);
+    ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+    if (rule.value().rule_id == "me.release" && rule.value().instance == id &&
+        rule.value().condition_source == "machine" &&
+        rule.value().action_step == 2) {
+      released = true;
+    }
+  }
+  EXPECT_TRUE(released);
 }
 
 }  // namespace

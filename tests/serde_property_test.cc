@@ -5,8 +5,11 @@
 // arbitrary TCP-style re-segmentation of the byte stream.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "net/frame.h"
+#include "runtime/codec.h"
 #include "runtime/packet.h"
 #include "runtime/wire.h"
 
@@ -120,8 +123,8 @@ TEST(SerdeProperty, MutatedPayloadsNeverCrashParsers) {
 }
 
 TEST(SerdeProperty, NestedPacketEscapingSurvivesHostileStrings) {
-  // Rollback messages embed a serialized packet with escaped newlines;
-  // data values full of backslashes and newlines must survive.
+  // Rollback messages embed a serialized packet as one length-prefixed
+  // field; data values full of backslashes and newlines must survive.
   WorkflowRollbackMsg m;
   m.instance = {"WF1", 1};
   m.origin_step = 2;
@@ -235,9 +238,8 @@ void ExpectSameFrame(const net::Frame& got, const net::Frame& want,
           << "frame " << index;
       break;
     default:
-      // The decoder normalizes to logical kinds; wire-form kinds must
-      // never escape it.
-      FAIL() << "non-logical frame kind " << static_cast<int>(want.kind);
+      // The decoder unrolls batches; a kBatch frame must never escape it.
+      FAIL() << "unexpected frame kind " << static_cast<int>(want.kind);
   }
 }
 
@@ -343,48 +345,12 @@ TEST(FrameProperty, ConcatenatedFramesDecodeInOneFeed) {
 }
 
 // ---------------------------------------------------------------------------
-// Superframes (kBatch) and the binary wire form: the same re-chunking
-// guarantees must hold when frames are coalesced under one envelope,
-// whatever codec each inner frame used.
-
-std::string EncodeWithRandomCodec(const net::Frame& frame, Rng* rng) {
-  return net::EncodeFrame(frame, rng->Bernoulli(0.5)
-                                     ? PayloadCodec::kBinary
-                                     : PayloadCodec::kKv);
-}
-
-TEST(FrameProperty, BinaryFramesSurviveRandomSplits) {
-  Rng rng(60221023);
-  for (int trial = 0; trial < 60; ++trial) {
-    std::vector<net::Frame> frames;
-    std::string stream;
-    int64_t count = rng.Uniform(1, 12);
-    for (int64_t i = 0; i < count; ++i) {
-      frames.push_back(RandomFrame(&rng));
-      stream += net::EncodeFrame(frames.back(), PayloadCodec::kBinary);
-    }
-    net::FrameDecoder decoder;
-    std::vector<net::Frame> decoded;
-    size_t offset = 0;
-    while (offset < stream.size()) {
-      size_t chunk = static_cast<size_t>(rng.Uniform(1, 64));
-      chunk = std::min(chunk, stream.size() - offset);
-      decoder.Feed(std::string_view(stream).substr(offset, chunk));
-      offset += chunk;
-      net::Frame frame;
-      while (decoder.Next(&frame)) decoded.push_back(std::move(frame));
-      ASSERT_TRUE(decoder.ok()) << decoder.status().ToString();
-    }
-    ASSERT_EQ(decoded.size(), frames.size());
-    for (size_t i = 0; i < frames.size(); ++i) {
-      ExpectSameFrame(decoded[i], frames[i], static_cast<int>(i));
-    }
-  }
-}
+// Superframes (kBatch): the same re-chunking guarantees must hold when
+// frames are coalesced under one envelope.
 
 TEST(FrameProperty, DictionaryTypedDataNeedsTheHello) {
-  // A binary DATA frame whose type is in the HELLO dictionary encodes it
-  // as one varint id; the decoder must resolve it back to the name.
+  // A DATA frame whose type is in the HELLO dictionary encodes it as one
+  // varint id; the decoder must resolve it back to the name.
   net::Frame hello;
   hello.kind = net::Frame::Kind::kHello;
   hello.endpoint = "unix:/tmp/a.sock";
@@ -399,8 +365,8 @@ TEST(FrameProperty, DictionaryTypedDataNeedsTheHello) {
   ASSERT_GE(WireTypeId(data.message.type), 0);
 
   net::FrameDecoder decoder;
-  decoder.Feed(net::EncodeFrame(hello, PayloadCodec::kBinary));
-  decoder.Feed(net::EncodeFrame(data, PayloadCodec::kBinary));
+  decoder.Feed(net::EncodeFrame(hello));
+  decoder.Feed(net::EncodeFrame(data));
   net::Frame out;
   ASSERT_TRUE(decoder.Next(&out));
   EXPECT_EQ(out.kind, net::Frame::Kind::kHello);
@@ -409,7 +375,7 @@ TEST(FrameProperty, DictionaryTypedDataNeedsTheHello) {
 
   // Without the HELLO the dictionary id is undefined -> poisoned stream.
   net::FrameDecoder cold;
-  cold.Feed(net::EncodeFrame(data, PayloadCodec::kBinary));
+  cold.Feed(net::EncodeFrame(data));
   EXPECT_FALSE(cold.Next(&out));
   EXPECT_FALSE(cold.ok());
 }
@@ -421,7 +387,7 @@ TEST(FrameProperty, SuperframeOneByteDribbleDecodesEveryInnerFrame) {
   for (int i = 0; i < 6; ++i) {
     net::Frame frame = RandomFrame(&rng);
     frames.push_back(frame);
-    encoded.push_back(EncodeWithRandomCodec(frame, &rng));
+    encoded.push_back(net::EncodeFrame(frame));
   }
   std::string stream = net::EncodeSuperframe(encoded);
   net::FrameDecoder decoder;
@@ -445,7 +411,7 @@ TEST(FrameProperty, SuperframeCutInsideLengthPrefixYieldsNothing) {
   std::vector<net::Frame> frames;
   for (int i = 0; i < 3; ++i) {
     frames.push_back(RandomFrame(&rng));
-    encoded.push_back(net::EncodeFrame(frames[i], PayloadCodec::kBinary));
+    encoded.push_back(net::EncodeFrame(frames[i]));
   }
   std::string bytes = net::EncodeSuperframe(encoded);
   net::FrameDecoder decoder;
@@ -479,14 +445,14 @@ TEST(FrameProperty, CoalescedSuperframesAndBareFramesInterleave) {
       if (rng.Bernoulli(0.4)) {
         // Bare frame between batches.
         frames.push_back(RandomFrame(&rng));
-        stream += EncodeWithRandomCodec(frames.back(), &rng);
+        stream += net::EncodeFrame(frames.back());
         continue;
       }
       std::vector<std::string> encoded;
       int64_t count = rng.Uniform(1, 6);
       for (int64_t i = 0; i < count; ++i) {
         frames.push_back(RandomFrame(&rng));
-        encoded.push_back(EncodeWithRandomCodec(frames.back(), &rng));
+        encoded.push_back(net::EncodeFrame(frames.back()));
       }
       stream += net::EncodeSuperframe(encoded);
     }
@@ -515,7 +481,7 @@ TEST(FrameProperty, AppendBatchHeaderMatchesEncodeSuperframe) {
   size_t inner_bytes = 0;
   for (int i = 0; i < 9; ++i) {
     encoded.push_back(
-        net::EncodeFrame(RandomFrame(&rng), PayloadCodec::kBinary));
+        net::EncodeFrame(RandomFrame(&rng)));
     inner_bytes += encoded.back().size();
   }
   std::string incremental;
@@ -530,7 +496,7 @@ TEST(FrameProperty, CorruptInnerFramePoisonsOnlyThatStream) {
   for (int i = 0; i < 4; ++i) {
     net::Frame frame = RandomFrame(&rng);
     frame.kind = net::Frame::Kind::kData;  // force bodies with payloads
-    encoded.push_back(net::EncodeFrame(frame, PayloadCodec::kBinary));
+    encoded.push_back(net::EncodeFrame(frame));
   }
   // Corrupt the second inner frame's kind byte to an unknown value. The
   // superframe header is [u32 len][kind][varint count] = 6 bytes here,
@@ -561,7 +527,7 @@ TEST(FrameProperty, CorruptInnerFramePoisonsOnlyThatStream) {
 TEST(FrameProperty, NestedBatchIsRejected) {
   Rng rng(808);
   std::vector<std::string> inner = {
-      net::EncodeFrame(RandomFrame(&rng), PayloadCodec::kBinary)};
+      net::EncodeFrame(RandomFrame(&rng))};
   std::vector<std::string> nested = {net::EncodeSuperframe(inner)};
   net::FrameDecoder decoder;
   decoder.Feed(net::EncodeSuperframe(nested));
@@ -573,7 +539,7 @@ TEST(FrameProperty, NestedBatchIsRejected) {
 TEST(FrameProperty, BatchNotExactlyTiledIsRejected) {
   Rng rng(6502);
   std::vector<std::string> encoded = {
-      net::EncodeFrame(RandomFrame(&rng), PayloadCodec::kBinary)};
+      net::EncodeFrame(RandomFrame(&rng))};
   std::string bytes = net::EncodeSuperframe(encoded);
   // Declare one extra body byte in the superframe length and append it:
   // the inner frames no longer tile the body exactly.
@@ -610,6 +576,46 @@ TEST(FrameProperty, CorruptLengthPoisonsStream) {
   decoder.Feed(net::EncodeFrame(frame));
   EXPECT_FALSE(decoder.Next(&out));
   EXPECT_FALSE(decoder.ok());
+}
+
+// CheckShippable admits exactly what fits: the largest payload it
+// accepts, sent with the widest sequence number, an inline type and a
+// full trace context, still passes the decoder's frame-length check,
+// and one more payload byte is refused at admission.
+TEST(FrameProperty, CheckShippableBoundHoldsAtTheFrameLimit) {
+  net::Frame frame;
+  frame.kind = net::Frame::Kind::kData;
+  frame.seq = std::numeric_limits<uint64_t>::max();
+  frame.message.from = 1;
+  frame.message.to = 2;
+  frame.message.type = "TypeOutsideTheDictionary";
+  ASSERT_LT(WireTypeId(frame.message.type), 0);
+  frame.message.category = sim::MsgCategory::kAdmin;
+  frame.message.trace_id = std::numeric_limits<uint64_t>::max();
+  frame.message.trace_sent_ticks = std::numeric_limits<int64_t>::min();
+  frame.message.payload.assign(net::kMaxFrameBytes, 'x');
+  while (!net::CheckShippable(frame.message).ok()) {
+    frame.message.payload.pop_back();
+  }
+  ASSERT_GT(frame.message.payload.size(), net::kMaxFrameBytes - 128);
+
+  std::string bytes = net::EncodeFrame(frame);
+  uint32_t length = static_cast<uint8_t>(bytes[0]) |
+                    (static_cast<uint8_t>(bytes[1]) << 8) |
+                    (static_cast<uint8_t>(bytes[2]) << 16) |
+                    (static_cast<uint32_t>(static_cast<uint8_t>(bytes[3]))
+                     << 24);
+  EXPECT_EQ(length + 4u, bytes.size());
+  EXPECT_LE(length, net::kMaxFrameBytes);
+  net::FrameDecoder decoder;
+  decoder.Feed(std::string_view(bytes).substr(0, 5));
+  net::Frame out;
+  EXPECT_FALSE(decoder.Next(&out));  // waits for the body ...
+  EXPECT_TRUE(decoder.ok()) << decoder.status().ToString();  // ... unharmed
+
+  frame.message.payload.push_back('x');
+  EXPECT_EQ(net::CheckShippable(frame.message).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
