@@ -26,6 +26,13 @@ struct EvalCase {
   bool expected;
 };
 
+// Names each case by its source and input. Without this, gtest prints the
+// raw bytes of the struct (a string pointer and padding), so the test names
+// change from one run of the binary to the next.
+void PrintTo(const EvalCase& c, std::ostream* os) {
+  *os << c.source << " at x=" << c.x;
+}
+
 class ConditionTable : public ::testing::TestWithParam<EvalCase> {};
 
 TEST_P(ConditionTable, EvaluatesAsExpected) {
