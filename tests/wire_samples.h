@@ -265,6 +265,57 @@ inline WorkflowPacket SamplePacket() {
   return p;
 }
 
+// ---- Sparse forms: every optional part left out ----
+
+/// A top-level start: no parent, links or inputs.
+inline WorkflowStartMsg SampleSparseWorkflowStart() {
+  WorkflowStartMsg m;
+  m.instance = {"WF_top", 1};
+  return m;
+}
+
+/// A placed packet whose sections are all empty.
+inline WorkflowPacket SampleSparsePlacedPacket() {
+  WorkflowPacket p;
+  p.instance = {"WF_p", 2};
+  p.target_step = 3;
+  p.coordinator = 4;
+  return p;
+}
+
+/// An unplaced packet with every section empty.
+inline WorkflowPacket SampleSparseEmptyPacket() {
+  WorkflowPacket p;
+  p.instance = {"WF_e", 5};
+  p.target_step = 1;
+  return p;
+}
+
+/// No condition text and no triggers.
+inline AddRuleMsg SampleSparseAddRule() {
+  AddRuleMsg m;
+  m.instance = {"WF", 3};
+  m.rule_id = "r1";
+  m.action_step = 1;
+  return m;
+}
+
+/// An exhausted compensation set: nothing left but the resume packet.
+inline CompensateSetMsg SampleSparseCompensateSet() {
+  CompensateSetMsg m;
+  m.instance = {"WF", 2};
+  m.origin_step = 2;
+  m.epoch = 1;
+  m.resume_agent = 3;
+  m.resume.instance = m.instance;
+  m.resume.target_step = 2;
+  return m;
+}
+
+inline PurgeInstancesMsg SampleSparsePurgeInstances() {
+  return PurgeInstancesMsg{};
+}
+
 inline net::Frame SampleHello() {
   net::Frame f;
   f.kind = net::Frame::Kind::kHello;
