@@ -14,9 +14,10 @@ namespace crew::runtime {
 ///
 /// BinWriter writes through a raw cursor into a caller-owned string that
 /// was presized to an upper bound — the serialize hot path does exactly
-/// one allocation and no per-field bounds checks. Callers compute the
-/// bound with the *Bound helpers below; writing past it is UB, so every
-/// Serialize keeps its bound arithmetic next to its writes.
+/// one allocation and no per-field bounds checks. Writing past the bound
+/// is UB, so no message computes its bound by hand: each wire message
+/// lists its layout once (runtime/fields.h), and the same list drives
+/// the bound, the writes and the reads.
 ///
 /// BinReader is a bounds-checked cursor over a string_view; every Read*
 /// returns false on overrun instead of throwing, and byte-slice reads

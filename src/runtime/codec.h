@@ -43,6 +43,14 @@ enum class BinMsgId : uint8_t {
   kPurgeInstances = 22,
 };
 
+/// What Parse() demands of one field in a message's field list
+/// (runtime/fields.h).
+enum FieldRule : uint8_t {
+  kOptional,  ///< may be absent
+  kRequired,  ///< Parse rejects a payload without it
+  kNonEmpty,  ///< Parse rejects it absent or empty
+};
+
 // ---- Value as a binary composite: [kind byte][payload] ----
 // Kinds: 0 null, 1 false, 2 true, 3 int (zigzag varint), 4 double
 // (fixed64), 5 string (length-prefixed bytes).

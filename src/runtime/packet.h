@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "common/value.h"
 #include "rules/token.h"
+#include "runtime/codec.h"
 
 namespace crew::runtime {
 
@@ -112,8 +113,22 @@ struct WorkflowPacket {
   PacketRoList ro_links;                      ///< ordering obligations
   PacketRdList rd_links;                      ///< rollback dependencies
 
-  /// Binary wire form (runtime/codec.h); its size is the wire size used
-  /// for byte metrics.
+  /// Binary wire form (runtime/fields.h); its size is the wire size
+  /// used for byte metrics.
+  static constexpr BinMsgId kWireId = BinMsgId::kPacket;
+  template <class M, class F>
+  static void Fields(M& m, F& f) {
+    f.Str(1, m.instance.workflow, kRequired);
+    f.Int(2, m.instance.number, kRequired);
+    f.Int(3, m.target_step, kRequired);
+    f.Int(4, m.epoch);
+    if (f.Has(m.coordinator != kInvalidNode)) f.Int(10, m.coordinator);
+    f.Map(5, m.data);
+    f.List(6, m.events);
+    f.Map(7, m.executed_by);
+    f.List(8, m.ro_links);
+    f.List(9, m.rd_links);
+  }
   std::string Serialize() const;
   static Result<WorkflowPacket> Parse(const std::string& payload);
 };
