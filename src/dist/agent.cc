@@ -75,6 +75,9 @@ Agent::AgentInstance* Agent::GetOrCreateInstance(
     const InstanceId& instance) {
   AgentInstance* existing = FindInstance(instance);
   if (existing != nullptr) return existing;
+  // A late message for an instance this agent already purged must not
+  // re-create it: such a replica would never run a step or be purged.
+  if (ended_instances_.count(instance) > 0) return nullptr;
   model::CompiledSchemaPtr schema = FindSchema(instance.workflow);
   if (schema == nullptr) return nullptr;
   auto inst = std::make_unique<AgentInstance>();
@@ -611,7 +614,6 @@ void Agent::OnStepExecute(const sim::Message& message) {
     return;
   }
   const runtime::WorkflowPacket& packet = parsed.value().packet;
-  if (ended_instances_.count(packet.instance) > 0) return;
   AgentInstance* inst = GetOrCreateInstance(packet.instance);
   if (inst == nullptr) return;
   if (packet.epoch < inst->state.epoch()) return;  // stale epoch
@@ -1762,9 +1764,9 @@ void Agent::OnAddEvent(const sim::Message& message) {
     StepId step = static_cast<StepId>(
         strtol(token.c_str() + colon + 2, nullptr, 10));
     AgentInstance* inst = FindInstance(msg.instance);
-    if (inst == nullptr || ended_instances_.count(msg.instance) > 0) {
-      // Instance gone, or a replica re-created after its purge that
-      // will never run the step: release the lock straight back.
+    if (inst == nullptr) {
+      // Instance gone (purged replicas are never re-created): release
+      // the lock straight back.
       runtime::AddRuleMsg release;
       release.instance = msg.instance;
       release.rule_id = "me.release";

@@ -141,6 +141,7 @@ class Agent : public sim::MessageHandler {
   };
 
   AgentInstance* FindInstance(const InstanceId& instance);
+  /// nullptr for an unknown schema or an instance purged here.
   AgentInstance* GetOrCreateInstance(const InstanceId& instance);
   model::CompiledSchemaPtr FindSchema(const std::string& workflow);
 

@@ -705,7 +705,7 @@ TEST(DistAgentTest, GrantToEndedInstanceIsReleasedToArbiter) {
   RecordingHandler recorder;
   fix.simulator_.network().Register(arbiter, &recorder);
 
-  // A late rollback re-creates a replica of the ended instance ...
+  // A late rollback for the ended instance ...
   runtime::WorkflowRollbackMsg rollback;
   rollback.instance = id;
   rollback.origin_step = 1;
@@ -741,6 +741,51 @@ TEST(DistAgentTest, GrantToEndedInstanceIsReleasedToArbiter) {
     }
   }
   EXPECT_TRUE(released);
+}
+
+// A rollback or compensation chain that reaches an agent after the
+// instance committed and was purged there must not re-create a replica:
+// nothing would ever run or purge it.
+TEST(DistAgentTest, LateRollbackDoesNotRecreatePurgedInstance) {
+  DistFixture fix(/*agents=*/4);
+  fix.Register(Seq("Wf", 3));
+  InstanceId id = fix.Start("Wf");
+  fix.Run();
+  ASSERT_EQ(fix.system_->front_end().KnownStatus(id),
+            WorkflowState::kCommitted);
+
+  // Step 2 ran at the second or third agent; both held a replica and
+  // purged it on commit.
+  const std::vector<NodeId>& ids = fix.system_->agent_ids();
+  for (NodeId agent : {ids[1], ids[2]}) {
+    ASSERT_EQ(fix.system_->agent_by_id(agent)->live_instances(), 0u);
+    runtime::WorkflowRollbackMsg rollback;
+    rollback.instance = id;
+    rollback.origin_step = 2;
+    rollback.new_epoch = 5;
+    rollback.state.instance = id;
+    rollback.state.target_step = 2;
+    runtime::CompensateSetMsg set;
+    set.instance = id;
+    set.origin_step = 2;
+    set.remaining = {2};
+    set.epoch = 5;
+    set.resume_agent = agent;
+    set.resume = rollback.state;
+    for (const auto& [type, payload] :
+         {std::pair{runtime::wi::kWorkflowRollback, rollback.Serialize()},
+          std::pair{runtime::wi::kCompensateSet, set.Serialize()}}) {
+      ASSERT_TRUE(fix.simulator_.network()
+                      .Send({kFrontEndNode, agent, type, payload,
+                             sim::MsgCategory::kFailureHandling})
+                      .ok());
+    }
+  }
+  fix.Run();
+  for (NodeId agent : {ids[1], ids[2]}) {
+    EXPECT_EQ(fix.system_->agent_by_id(agent)->live_instances(), 0u)
+        << "agent " << agent;
+  }
 }
 
 }  // namespace
