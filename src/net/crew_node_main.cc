@@ -11,6 +11,7 @@
 
 #include <sys/stat.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -181,6 +182,11 @@ int Run(const Flags& flags) {
   // drive_mu until the control server stops; joined before shutdown.
   std::mutex drive_mu;
   std::vector<std::thread> drivers;
+  // Drives that have not posted all their starts yet: the startup drive
+  // (which first waits for the peers) and every "drive" thread. The node
+  // is not quiet while one is pending, or a supervisor polling before
+  // the first start would take the idle cluster for a finished one.
+  std::atomic<int> pending_drives{flags.drive ? 1 : 0};
 
   // One process-health document: schedule the per-cell metrics copies
   // (bounded — a wedged worker costs the wait, never a hang), then
@@ -204,7 +210,8 @@ int Run(const Flags& flags) {
     if (words.empty()) return "err empty";
     if (words[0] == "ping") return "ok";
     if (words[0] == "quiet") {
-      return std::string(node.LooksQuiet() ? "1" : "0") + " " +
+      bool quiet = pending_drives.load() == 0 && node.LooksQuiet();
+      return std::string(quiet ? "1" : "0") + " " +
              std::to_string(node.AdmittedWork());
     }
     if (words[0] == "telemetry") {
@@ -250,8 +257,10 @@ int Run(const Flags& flags) {
           words.size() == 3 ? std::atoll(words[2].c_str()) : 0;
       if (count <= 0) return "err drive count";
       std::lock_guard<std::mutex> lock(drive_mu);
+      pending_drives.fetch_add(1);
       drivers.emplace_back([&testbed, &node, &exit_mu, &exit_cv,
-                            &exit_requested, count, rate]() {
+                            &exit_requested, &pending_drives, count,
+                            rate]() {
         auto next_at = std::chrono::steady_clock::now();
         for (int64_t i = 1; i <= count; ++i) {
           std::string schema =
@@ -264,11 +273,11 @@ int Run(const Flags& flags) {
             if (exit_cv.wait_until(wait_lock, next_at, [&]() {
                   return exit_requested;
                 })) {
-              return;
+              break;
             }
           } else {
             std::lock_guard<std::mutex> check_lock(exit_mu);
-            if (exit_requested) return;
+            if (exit_requested) break;
           }
           node.runtime().Post(start_node, [&testbed, schema, i]() {
             Status status = testbed.StartInstance(schema, i);
@@ -278,6 +287,7 @@ int Run(const Flags& flags) {
             }
           });
         }
+        pending_drives.fetch_sub(1);
       });
       return "ok " + std::to_string(count);
     }
@@ -340,6 +350,7 @@ int Run(const Flags& flags) {
         }
       });
     }
+    pending_drives.fetch_sub(1);
   }
 
   // Periodic telemetry tick: refreshes every cell's metrics snapshot so

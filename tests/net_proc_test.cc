@@ -185,6 +185,44 @@ TEST(NetProcTest, KillAndRestartMidRunStillMatchesInProcessRun) {
   }
 }
 
+/// A node whose drive has not posted all its starts must not answer
+/// "quiet": a supervisor polling it then would take the idle cluster for
+/// a finished one and shut it down before the workload ran.
+TEST(NetProcTest, NodeWithPendingDriveIsNotQuiet) {
+  TempDir dir;
+  TestbedOptions testbed_options = DistOptions();
+  Result<Topology> topology =
+      Testbed::UnixTopology(testbed_options, dir.path, kEndpoints);
+  ASSERT_TRUE(topology.ok()) << topology.status().ToString();
+  std::string topology_file = dir.path + "/topology.txt";
+  ASSERT_TRUE(topology.value().Save(topology_file).ok());
+
+  LaunchOptions options;
+  options.node_binary = CREW_NODE_BIN;
+  options.topology_file = topology_file;
+  options.mode = "dist";
+  options.num_agents = kAgents;
+  options.num_instances = kInstances;
+  options.seed = kSeed;
+  options.tick_us = 20;
+  options.drive_on_start = false;
+  Supervisor supervisor(topology.value(), options);
+  ASSERT_TRUE(supervisor.StartAll().ok());
+  ASSERT_TRUE(supervisor.WaitQuiescent(/*timeout_ms=*/120000).ok());
+
+  // The front end (endpoint 0) hosts every start. Paced at one start a
+  // second, its drive is still waiting to post the first one.
+  Endpoint front = supervisor.processes().front().endpoint;
+  Result<std::string> drive = supervisor.Request(
+      front, "drive " + std::to_string(kInstances) + " 1");
+  ASSERT_TRUE(drive.ok()) << drive.status().ToString();
+  ASSERT_EQ(drive.value(), "ok " + std::to_string(kInstances));
+  Result<std::string> quiet = supervisor.Request(front, "quiet");
+  ASSERT_TRUE(quiet.ok()) << quiet.status().ToString();
+  EXPECT_EQ(quiet.value().substr(0, 2), "0 ") << quiet.value();
+  supervisor.ShutdownAll();
+}
+
 /// Incarnation-scoped flow ids across a real SIGKILL+restart: the
 /// restarted process mints trace ids carrying its new incarnation, so
 /// none of its spans can ever pair with a Begin recorded by its
