@@ -46,28 +46,72 @@ TEST_P(ConditionTable, EvaluatesAsExpected) {
       << c.source << " with x=" << c.x;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Conditions, ConditionTable,
-    ::testing::Values(
-        EvalCase{"x > 5", 6, true}, EvalCase{"x > 5", 5, false},
-        EvalCase{"x >= 5", 5, true}, EvalCase{"x != 3", 3, false},
-        EvalCase{"x % 2 == 0", 4, true}, EvalCase{"x % 2 == 0", 7, false},
-        EvalCase{"x * 2 + 1 == 9", 4, true},
-        EvalCase{"-x == 0 - x", 17, true},
-        EvalCase{"x > 0 and x < 10", 5, true},
-        EvalCase{"x > 0 and x < 10", 15, false},
-        EvalCase{"x < 0 or x > 10", 15, true},
-        EvalCase{"not (x == 1)", 1, false},
-        EvalCase{"name == \"widget\"", 0, true},
-        EvalCase{"name != \"gadget\"", 0, true},
-        EvalCase{"exists(x) and not exists(y)", 0, true},
-        EvalCase{"min(x, 10) == x", 3, true},
-        EvalCase{"max(x, 10) == 10", 3, true},
-        EvalCase{"abs(x - 10) <= 2", 9, true},
-        EvalCase{"abs(x - 10) <= 2", 5, false},
-        EvalCase{"x / 2 == 3", 7, true},  // integer division
-        EvalCase{"missing > 1", 5, false}  // unbound -> false condition
-        ));
+const EvalCase kConditionCases[] = {
+    EvalCase{"x > 5", 6, true}, EvalCase{"x > 5", 5, false},
+    EvalCase{"x >= 5", 5, true}, EvalCase{"x != 3", 3, false},
+    EvalCase{"x % 2 == 0", 4, true}, EvalCase{"x % 2 == 0", 7, false},
+    EvalCase{"x * 2 + 1 == 9", 4, true},
+    EvalCase{"-x == 0 - x", 17, true},
+    EvalCase{"x > 0 and x < 10", 5, true},
+    EvalCase{"x > 0 and x < 10", 15, false},
+    EvalCase{"x < 0 or x > 10", 15, true},
+    EvalCase{"not (x == 1)", 1, false},
+    EvalCase{"name == \"widget\"", 0, true},
+    EvalCase{"name != \"gadget\"", 0, true},
+    EvalCase{"exists(x) and not exists(y)", 0, true},
+    EvalCase{"min(x, 10) == x", 3, true},
+    EvalCase{"max(x, 10) == 10", 3, true},
+    EvalCase{"abs(x - 10) <= 2", 9, true},
+    EvalCase{"abs(x - 10) <= 2", 5, false},
+    EvalCase{"x / 2 == 3", 7, true},  // integer division
+    EvalCase{"missing > 1", 5, false}  // unbound -> false condition
+};
+
+INSTANTIATE_TEST_SUITE_P(Conditions, ConditionTable,
+                         ::testing::ValuesIn(kConditionCases));
+
+// Every truncation, every single-bit flip, seeded multi-byte edits and
+// random tails of the table's expressions: the parser must return,
+// whether it accepts or not.
+TEST(ExpressionProperty, HostileSourcesNeverCrashTheParser) {
+  Rng rng(0xE59);
+  for (const EvalCase& c : kConditionCases) {
+    const std::string source = c.source;
+    ASSERT_TRUE(ParseExpression(source).ok()) << source;
+    for (size_t n = 0; n < source.size(); ++n) {
+      (void)ParseExpression(source.substr(0, n));
+    }
+    for (size_t i = 0; i < source.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = source;
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+        (void)ParseExpression(flipped);
+      }
+    }
+    for (int trial = 0; trial < 100; ++trial) {
+      std::string mutated = source;
+      int64_t edits = rng.Uniform(1, 4);
+      for (int64_t e = 0; e < edits && !mutated.empty(); ++e) {
+        size_t pos = rng.Index(mutated.size());
+        char byte = static_cast<char>(rng.Uniform(0, 255));
+        switch (rng.Index(3)) {
+          case 0: mutated[pos] = byte; break;
+          case 1: mutated.erase(pos, 1); break;
+          default: mutated.insert(pos, 1, byte);
+        }
+      }
+      (void)ParseExpression(mutated);
+    }
+    for (int trial = 0; trial < 50; ++trial) {
+      std::string junk = source.substr(0, rng.Index(source.size()));
+      int64_t length = rng.Uniform(0, 32);
+      for (int64_t i = 0; i < length; ++i) {
+        junk.push_back(static_cast<char>(rng.Uniform(0, 255)));
+      }
+      (void)ParseExpression(junk);
+    }
+  }
+}
 
 /// Random-expression round-trip: parse -> ToString -> parse must be
 /// semantically identical on 200 generated arithmetic expressions.

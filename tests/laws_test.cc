@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "common/rng.h"
 #include "dist/system.h"
 #include "laws/export.h"
 #include "laws/parser.h"
@@ -288,6 +293,49 @@ TEST(LawsFileTest, ParsesTheShippedExampleFile) {
 TEST(LawsFileTest, MissingFileIsNotFound) {
   EXPECT_TRUE(
       ParseLawsFile("/nonexistent/path.laws").status().IsNotFound());
+}
+
+// Every truncation of the shipped example, every byte with one seeded
+// bit flipped, seeded multi-byte edits and random tails: the parser
+// must return, whether it accepts or not.
+TEST(LawsFileTest, HostileSourcesNeverCrashTheParser) {
+  std::ifstream in(std::string(CREW_SOURCE_DIR) + "/examples/order.laws");
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string source = buffer.str();
+  ASSERT_FALSE(source.empty());
+  ASSERT_TRUE(ParseLaws(source).ok());
+  Rng rng(0x1A5);
+  for (size_t n = 0; n < source.size(); ++n) {
+    (void)ParseLaws(source.substr(0, n));
+  }
+  for (size_t i = 0; i < source.size(); ++i) {
+    std::string flipped = source;
+    flipped[i] = static_cast<char>(flipped[i] ^ (1 << rng.Index(8)));
+    (void)ParseLaws(flipped);
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string mutated = source;
+    int64_t edits = rng.Uniform(1, 6);
+    for (int64_t e = 0; e < edits && !mutated.empty(); ++e) {
+      size_t pos = rng.Index(mutated.size());
+      char byte = static_cast<char>(rng.Uniform(0, 255));
+      switch (rng.Index(3)) {
+        case 0: mutated[pos] = byte; break;
+        case 1: mutated.erase(pos, 1); break;
+        default: mutated.insert(pos, 1, byte);
+      }
+    }
+    (void)ParseLaws(mutated);
+  }
+  for (int trial = 0; trial < 100; ++trial) {
+    std::string junk = source.substr(0, rng.Index(source.size()));
+    int64_t length = rng.Uniform(0, 64);
+    for (int64_t i = 0; i < length; ++i) {
+      junk.push_back(static_cast<char>(rng.Uniform(0, 255)));
+    }
+    (void)ParseLaws(junk);
+  }
 }
 
 }  // namespace
