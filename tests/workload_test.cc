@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "analysis/model.h"
 #include "analysis/recommend.h"
 #include "workload/driver.h"
@@ -102,6 +107,173 @@ TEST_P(DriverTest, DeterministicForSameSeed) {
   EXPECT_EQ(a.aborted, b.aborted);
   EXPECT_EQ(a.metrics.TotalMessages(), b.metrics.TotalMessages());
   EXPECT_EQ(a.metrics.TotalLoad(), b.metrics.TotalLoad());
+}
+
+// One run's outcome: committed and aborted counts plus the FNV-1a 64 hash
+// of the full metrics report (every message and load counter).
+struct SweepPin {
+  int64_t committed;
+  int64_t aborted;
+  uint64_t report_fnv;
+};
+
+uint64_t Fnv64(const std::string& text) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Three coordination/failure mixes over 4 classes of 25 instances: the
+// Table 3 midpoints, mutual exclusion under aborts, and mutual exclusion
+// with rollback dependencies under step failures.
+std::vector<std::pair<std::string, Params>> SweepMixes() {
+  Params midpoints;
+  midpoints.num_schemas = 4;
+  midpoints.instances_per_schema = 25;
+  Params me_abort = midpoints;
+  me_abort.mutex_steps = 2;
+  me_abort.p_abort = 0.1;
+  me_abort.p_step_failure = 0;
+  me_abort.p_input_change = 0;
+  me_abort.relative_order_steps = 0;
+  me_abort.rollback_dep_steps = 0;
+  Params me_rd_fail = midpoints;
+  me_rd_fail.mutex_steps = 2;
+  me_rd_fail.rollback_dep_steps = 1;
+  me_rd_fail.p_step_failure = 0.1;
+  me_rd_fail.p_abort = 0;
+  me_rd_fail.p_input_change = 0;
+  me_rd_fail.relative_order_steps = 0;
+  return {{"midpoints", midpoints},
+          {"me2-pa0.1", me_abort},
+          {"me2-rd1-pf0.1", me_rd_fail}};
+}
+
+// Pins what every architecture does on a seed sweep, so a refactor of the
+// engines that changes any message, load or outcome shows up here. The
+// values were recorded from the code before the ME protocol and the
+// per-step OCR logic moved into runtime/.
+TEST_P(DriverTest, SeedSweepMatchesPinnedFingerprints) {
+  // Per architecture: one entry per (mix, seed), mixes in SweepMixes()
+  // order, seeds 1-8.
+  static const std::map<Architecture, std::vector<SweepPin>> kPins = {
+      {Architecture::kCentral,
+       {
+           // midpoints, seeds 1-8
+           {95, 5, 0x4d6cf3653e8ad519ull},
+           {99, 1, 0x2e9d71e0d5671441ull},
+           {96, 4, 0xc500c499b383cf6eull},
+           {96, 4, 0x0dcf84011e2fdc99ull},
+           {97, 3, 0x80d412126506b8fbull},
+           {98, 2, 0x47e838511f919be4ull},
+           {100, 0, 0x2875e1f2af22cc33ull},
+           {98, 2, 0xb0d77e4a4ea3e7ffull},
+           // me2-pa0.1, seeds 1-8
+           {89, 11, 0x89b2ef3e1f5eccf1ull},
+           {88, 12, 0x203a892dce8b76e4ull},
+           {90, 10, 0xd9ef0f95fe203d75ull},
+           {90, 10, 0xa61039e622bfa0d4ull},
+           {85, 15, 0x7953581cbf5ad100ull},
+           {93, 7, 0x1d786c0c3fa41fcfull},
+           {86, 14, 0x2294eaeafdf7a327ull},
+           {90, 10, 0x78703e58a2efa92bull},
+           // me2-rd1-pf0.1, seeds 1-8
+           {100, 0, 0x3b1a8ff1b762bd6dull},
+           {100, 0, 0x9396bf78f5712bbcull},
+           {100, 0, 0x9154866d4ec73f59ull},
+           {100, 0, 0xa47247a55c7a2745ull},
+           {100, 0, 0xaa837e17b3addf81ull},
+           {100, 0, 0xed06d83534b52c21ull},
+           {100, 0, 0x4c0806e1f7475e56ull},
+           {100, 0, 0xba73eb0493c5a219ull},
+       }},
+      {Architecture::kParallel,
+       {
+           // midpoints, seeds 1-8
+           {95, 5, 0x6e1c4781285f96b3ull},
+           {99, 1, 0x5f43ef032fd2ef3cull},
+           {96, 4, 0xf8ce76855994a707ull},
+           {96, 4, 0xd7f622b9449d06d0ull},
+           {97, 3, 0x68497ac03a28ef58ull},
+           {98, 2, 0x451b4d001d3a1c52ull},
+           {100, 0, 0xa40195ae88bf26e7ull},
+           {98, 2, 0x049efc7bb326344aull},
+           // me2-pa0.1, seeds 1-8
+           {89, 11, 0xeccb1f2ea024e36bull},
+           {88, 12, 0x7209b89c62b56d75ull},
+           {90, 10, 0x85f898e786984a4full},
+           {90, 10, 0x3579f2196c820a4eull},
+           {85, 15, 0xb86356c9132416e9ull},
+           {93, 7, 0x9b4cd2026caa3341ull},
+           {86, 14, 0x2c56410314a446beull},
+           {90, 10, 0xc3d9ab700bb2554eull},
+           // me2-rd1-pf0.1, seeds 1-8
+           {100, 0, 0x82a3db6a7f001211ull},
+           {100, 0, 0x542f1d893734f6ddull},
+           {100, 0, 0x0188792b66dc7c23ull},
+           {100, 0, 0xf020ae674fc7d86full},
+           {100, 0, 0x4349c011543a7b3eull},
+           {100, 0, 0xabd0777a23948893ull},
+           {100, 0, 0xe5708266144ec224ull},
+           {100, 0, 0x8ba4e9e9cf84d3ddull},
+       }},
+      {Architecture::kDistributed,
+       {
+           // midpoints, seeds 1-8
+           {95, 5, 0xbf4e47a61c344f2aull},
+           {99, 1, 0x349411d63e479217ull},
+           {96, 4, 0xf8a985c8d87f5528ull},
+           {96, 4, 0xe4e56f29cf64345full},
+           {97, 3, 0x69ed69f3577b13caull},
+           {98, 2, 0xb1f90929e9229d43ull},
+           {100, 0, 0x864b62cb4dcbbf4eull},
+           {98, 2, 0xa65aa99f16f03f7aull},
+           // me2-pa0.1, seeds 1-8
+           {89, 11, 0x1132d243eb51c315ull},
+           {88, 12, 0x00d8faa8e956ef26ull},
+           {90, 10, 0xba2ac527e0f8267aull},
+           {90, 10, 0xddcd546e8dbd1edcull},
+           {85, 15, 0xd958485ad8fd4852ull},
+           {93, 7, 0x0e8af692e8aaa618ull},
+           {86, 14, 0x0d270f7dc0cb53a4ull},
+           {90, 10, 0xa6ad0254f6f632a3ull},
+           // me2-rd1-pf0.1, seeds 1-8
+           {100, 0, 0x6f1ebd9ae2222d8full},
+           {100, 0, 0x1bab326704ffd809ull},
+           {100, 0, 0x28f0aeb6d5c432b4ull},
+           {100, 0, 0xa62f053aa4f7133bull},
+           {100, 0, 0x69851687edf8f4f6ull},
+           {100, 0, 0xa242f9880f70f154ull},
+           {100, 0, 0x5b8cec6cfcf790baull},
+           {100, 0, 0x93b2f3306bbc8d4eull},
+       }},
+  };
+  const std::vector<SweepPin>& pins = kPins.at(GetParam());
+  size_t index = 0;
+  for (const auto& [mix, base] : SweepMixes()) {
+    for (uint64_t seed = 1; seed <= 8; ++seed, ++index) {
+      ASSERT_LT(index, pins.size());
+      Params p = base;
+      p.seed = seed;
+      RunResult result = RunWorkload(p, GetParam());
+      std::string report = result.metrics.ReportJson();
+      uint64_t fnv = Fnv64(report);
+      const SweepPin& want = pins[index];
+      if (result.committed != want.committed ||
+          result.aborted != want.aborted || fnv != want.report_fnv) {
+        ADD_FAILURE() << ArchitectureName(GetParam()) << " mix=" << mix
+                      << " seed=" << seed
+                      << ": committed=" << result.committed
+                      << " aborted=" << result.aborted << " fnv=0x"
+                      << std::hex << fnv << std::dec << "\n"
+                      << report;
+      }
+    }
+  }
+  EXPECT_EQ(index, pins.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchitectures, DriverTest,
