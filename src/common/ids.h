@@ -2,6 +2,7 @@
 #define CREW_COMMON_IDS_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <string>
 
@@ -37,6 +38,12 @@ struct InstanceId {
   /// "WF2#4" style rendering used in logs and packets.
   std::string ToString() const {
     return workflow + "#" + std::to_string(number);
+  }
+  /// Inverse of ToString; an empty workflow name for a malformed key.
+  static InstanceId Parse(const std::string& key) {
+    size_t hash = key.rfind('#');
+    if (hash == std::string::npos || hash == 0) return {};
+    return {key.substr(0, hash), std::atoll(key.c_str() + hash + 1)};
   }
 };
 
