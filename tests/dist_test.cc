@@ -743,6 +743,40 @@ TEST(DistAgentTest, GrantToEndedInstanceIsReleasedToArbiter) {
   EXPECT_TRUE(released);
 }
 
+// An ME request must name its sender as the requester. One that names
+// "x" used to read as node 0, the front end: the arbiter granted the lock
+// there and nobody ever released it, so every later step that needed the
+// resource waited for good.
+TEST(DistAgentTest, MeRequestWithUnparsableRequesterIsDropped) {
+  DistFixture fix(/*agents=*/4);
+  runtime::MutexReq me;
+  me.id = "m";
+  me.resource = "machine";
+  me.critical_steps = {{"Wf", 2}};
+  fix.coordination_.mutexes.push_back(me);
+  fix.Register(Seq("Wf", 3));
+
+  // Step 2 is eligible at the second and third agent; the lower id
+  // arbitrates.
+  const std::vector<NodeId>& ids = fix.system_->agent_ids();
+  runtime::AddRuleMsg acquire;
+  acquire.instance = {"Other", 1};
+  acquire.rule_id = "me.acquire";
+  acquire.condition_source = "machine";
+  acquire.action_step = 2;
+  acquire.trigger_events = {"x"};
+  ASSERT_TRUE(fix.simulator_.network()
+                  .Send({ids[0], ids[1], runtime::wi::kAddRule,
+                         acquire.Serialize(),
+                         sim::MsgCategory::kCoordination})
+                  .ok());
+
+  InstanceId id = fix.Start("Wf");
+  fix.simulator_.queue().RunUntil(1000);
+  EXPECT_EQ(fix.system_->front_end().KnownStatus(id),
+            WorkflowState::kCommitted);
+}
+
 // A rollback or compensation chain that reaches an agent after the
 // instance committed and was purged there must not re-create a replica:
 // nothing would ever run or purge it.
