@@ -343,6 +343,76 @@ TEST(JsonExportTest, JsonlLinesAreEachWellFormed) {
   EXPECT_EQ(lines, 2u);
 }
 
+// Fills a ring with one record of every phase: a paired span, instants,
+// completes (one with a negative duration), both flow halves, a
+// record with no node, one span left open, and one record evicted.
+void FillPinnedRing(RingBufferTracer* r, int64_t* clock) {
+  r->SetClock(clock);
+  *clock = 1;
+  r->SetNodeName(1, "engine-1");
+  r->SetNodeName(4, "agent \"4\"");
+  r->Instant(SpanKind::kNode, 1, {}, kInvalidStep, "evicted");
+  r->Begin(SpanKind::kStep, 1, {"WF\"x", 2}, 1, "step");
+  *clock = 5;
+  r->End(SpanKind::kStep, 1, {"WF\"x", 2}, 1, "step", 0,
+         "detail with \\ and \"quotes\"\n");
+  r->Instant(SpanKind::kOcr, 2, {"WF\"x", 2}, 1, "rollback", 3,
+             "origin=S1", 1);
+  r->Complete(SpanKind::kMessage, 2, {"WF\"x", 2}, 1, "msg:Run", 1, 2, 4,
+              "1->2");
+  r->Complete(SpanKind::kProgram, 3, {"WF", 9}, 4, "program", 10, -4);
+  r->FlowBegin(SpanKind::kMessage, 1, 0xabcdef0123ull, "msg:wi1", 3, 6,
+               "to 2", 5);
+  *clock = 9;
+  r->FlowEnd(SpanKind::kMessage, kInvalidNode, 0xabcdef0123ull, "msg:wi1");
+  r->Instant(SpanKind::kNode, 3, {}, kInvalidStep, "node.down");
+  r->Begin(SpanKind::kCoord, 1, {"WF", 9}, 2, "mutex.wait");
+}
+
+// Exporter output for FillPinnedRing(), recorded before the ring and the
+// trace merge shared one per-record writer.
+constexpr const char* kPinnedChrome =
+    R"pin({"displayTimeUnit":"ms","otherData":{"dropped":1,"openSpans":1},"traceEvents":[
+{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"crew-sim"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"engine-1"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":2,"args":{"name":"node-2"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":3,"args":{"name":"node-3"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":4,"args":{"name":"agent \"4\""}},
+{"name":"step WF\"x#2 S1","cat":"step,normal","ph":"X","ts":1,"dur":4,"pid":0,"tid":1,"args":{"instance":"WF\"x#2","step":1,"category":"normal","detail":"detail with \\ and \"quotes\"\n"}},
+{"name":"rollback WF\"x#2 S1","cat":"ocr,failure-handling","ph":"i","s":"t","ts":5,"pid":0,"tid":2,"args":{"instance":"WF\"x#2","step":1,"category":"failure-handling","value":3,"detail":"origin=S1"}},
+{"name":"msg:Run WF\"x#2 S1","cat":"message,coordination","ph":"X","ts":1,"dur":2,"pid":0,"tid":2,"args":{"instance":"WF\"x#2","step":1,"category":"coordination","detail":"1->2"}},
+{"name":"program WF#9 S4","cat":"program,normal","ph":"X","ts":10,"dur":0,"pid":0,"tid":3,"args":{"instance":"WF#9","step":4,"category":"normal"}},
+{"name":"msg:wi1","cat":"message,admin","ph":"b","id":"0xabcdef0123","ts":3,"pid":0,"tid":1,"args":{"instance":"#0","step":0,"category":"admin","value":5,"detail":"to 2"}},
+{"name":"msg:wi1","cat":"message,normal","ph":"e","id":"0xabcdef0123","ts":9,"pid":0,"tid":0,"args":{"instance":"#0","step":0,"category":"normal"}},
+{"name":"node.down","cat":"node,normal","ph":"i","s":"t","ts":9,"pid":0,"tid":3,"args":{"instance":"#0","step":0,"category":"normal"}}
+]}
+)pin";
+constexpr const char* kPinnedJsonl =
+    R"pin({"t":1,"dur":4,"kind":"step","name":"step","node":1,"instance":"WF\"x#2","step":1,"category":"normal","detail":"detail with \\ and \"quotes\"\n"}
+{"t":5,"kind":"ocr","name":"rollback","node":2,"instance":"WF\"x#2","step":1,"category":"failure-handling","value":3,"detail":"origin=S1"}
+{"t":1,"dur":2,"kind":"message","name":"msg:Run","node":2,"instance":"WF\"x#2","step":1,"category":"coordination","detail":"1->2"}
+{"t":10,"dur":-4,"kind":"program","name":"program","node":3,"instance":"WF#9","step":4,"category":"normal"}
+{"t":3,"ph":"fb","flow":"0xabcdef0123","kind":"message","name":"msg:wi1","node":1,"instance":"#0","step":0,"category":"admin","value":5,"detail":"to 2"}
+{"t":9,"ph":"fe","flow":"0xabcdef0123","kind":"message","name":"msg:wi1","node":-1,"instance":"#0","step":0,"category":"normal"}
+{"t":9,"kind":"node","name":"node.down","node":3,"instance":"#0","step":0,"category":"normal"}
+)pin";
+
+TEST(JsonExportTest, ChromeTraceBytesArePinned) {
+  RingBufferTracer ring(/*capacity=*/7);
+  int64_t clock = 0;
+  FillPinnedRing(&ring, &clock);
+  ASSERT_EQ(ring.dropped(), 1);
+  ASSERT_EQ(ring.open_spans(), 1u);
+  EXPECT_EQ(ring.ChromeTraceJson(), kPinnedChrome);
+}
+
+TEST(JsonExportTest, JsonlBytesArePinned) {
+  RingBufferTracer ring(/*capacity=*/7);
+  int64_t clock = 0;
+  FillPinnedRing(&ring, &clock);
+  EXPECT_EQ(ring.JsonlLog(), kPinnedJsonl);
+}
+
 TEST(JsonExportTest, HistogramsJsonIsWellFormed) {
   RingBufferTracer ring;
   int64_t clock = 0;
