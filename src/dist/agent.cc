@@ -1508,9 +1508,11 @@ void Agent::OnAddRule(const sim::Message& message) {
                                   options_.navigation_load);
     runtime::MutexTable::Holder next;
     if (me == runtime::MeRequestKind::kAcquire) {
+      // The holder asking again is granted again: it may have lost its
+      // claims to a restart.
       if (locks_.Acquire(resource, {msg.instance, msg.action_step,
-                                    requester}) ==
-          runtime::MutexTable::Acquired::kGranted) {
+                                    requester}) !=
+          runtime::MutexTable::Acquired::kQueued) {
         next = {msg.instance, msg.action_step, requester};
       }
     } else {

@@ -777,6 +777,51 @@ TEST(DistAgentTest, MeRequestWithUnparsableRequesterIsDropped) {
             WorkflowState::kCommitted);
 }
 
+// An arbiter answers every acquire from the current holder with a grant,
+// as central's does: a requester that lost its claims (an agent whose
+// restart cleared them) asks again and must not wait for good.
+TEST(DistAgentTest, RepeatedAcquireFromHolderIsGrantedAgain) {
+  DistFixture fix(/*agents=*/4);
+  runtime::MutexReq me;
+  me.id = "m";
+  me.resource = "machine";
+  me.critical_steps = {{"Wf", 2}};
+  fix.coordination_.mutexes.push_back(me);
+  fix.Register(Seq("Wf", 3));
+
+  // Step 2 is eligible at the second and third agent; the lower id
+  // arbitrates. Stand in for the third to see every grant it gets.
+  const std::vector<NodeId>& ids = fix.system_->agent_ids();
+  NodeId arbiter = ids[1];
+  NodeId requester = ids[2];
+  RecordingHandler recorder;
+  fix.simulator_.network().Register(requester, &recorder);
+  InstanceId id{"Wf", 77};
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(fix.simulator_.network()
+                    .Send({requester, arbiter, runtime::wi::kAddRule,
+                           runtime::EncodeMeRequest(
+                               runtime::MeRequestKind::kAcquire, id,
+                               "machine", 2, requester),
+                           sim::MsgCategory::kCoordination})
+                    .ok());
+    fix.Run();
+  }
+
+  int grants = 0;
+  for (const sim::Message& message : recorder.messages) {
+    if (message.type != runtime::wi::kAddEvent) continue;
+    Result<runtime::AddEventMsg> event =
+        runtime::AddEventMsg::Parse(message.payload);
+    ASSERT_TRUE(event.ok()) << event.status().ToString();
+    if (event.value().instance == id &&
+        event.value().event_token == "me.grant:machine:S2") {
+      ++grants;
+    }
+  }
+  EXPECT_EQ(grants, 2);
+}
+
 // A rollback or compensation chain that reaches an agent after the
 // instance committed and was purged there must not re-create a replica:
 // nothing would ever run or purge it.
