@@ -14,33 +14,6 @@ std::vector<std::string> Split(std::string_view text, char sep) {
   return out;
 }
 
-std::vector<std::string> SplitQuoted(std::string_view text, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  bool in_quote = false;
-  for (size_t i = 0; i < text.size(); ++i) {
-    char c = text[i];
-    if (in_quote) {
-      cur += c;
-      if (c == '\\' && i + 1 < text.size()) {
-        cur += text[++i];
-      } else if (c == '"') {
-        in_quote = false;
-      }
-    } else if (c == '"') {
-      in_quote = true;
-      cur += c;
-    } else if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
 std::string Join(const std::vector<std::string>& parts, char sep) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {

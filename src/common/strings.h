@@ -10,11 +10,6 @@ namespace crew {
 /// Splits on a single character; keeps empty fields.
 std::vector<std::string> Split(std::string_view text, char sep);
 
-/// Splits on a character but honours double-quoted segments (quotes and
-/// backslash escapes inside them are preserved verbatim). Used by the
-/// packet wire format where string Values may contain the separator.
-std::vector<std::string> SplitQuoted(std::string_view text, char sep);
-
 /// Joins with a separator.
 std::string Join(const std::vector<std::string>& parts, char sep);
 

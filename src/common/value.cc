@@ -1,7 +1,6 @@
 #include "common/value.h"
 
-#include <cmath>
-#include <cstdlib>
+#include <cstdio>
 
 namespace crew {
 namespace {
@@ -24,31 +23,6 @@ std::string QuoteString(const std::string& s) {
     }
   }
   out += '"';
-  return out;
-}
-
-Result<std::string> UnquoteString(const std::string& text) {
-  if (text.size() < 2 || text.front() != '"' || text.back() != '"') {
-    return Status::ParseError("not a quoted string: " + text);
-  }
-  std::string out;
-  for (size_t i = 1; i + 1 < text.size(); ++i) {
-    char c = text[i];
-    if (c == '\\') {
-      if (i + 2 >= text.size() + 1) {
-        return Status::ParseError("dangling escape in: " + text);
-      }
-      ++i;
-      char e = text[i];
-      if (e == 'n') {
-        out += '\n';
-      } else {
-        out += e;
-      }
-    } else {
-      out += c;
-    }
-  }
   return out;
 }
 
@@ -86,8 +60,8 @@ std::string Value::ToString() const {
     case Kind::kInt:
       return std::to_string(AsInt());
     case Kind::kDouble: {
-      // Emit enough digits to round-trip, with a trailing marker so
-      // Parse can distinguish 4.0 from int 4.
+      // Enough digits to round-trip, with a trailing marker so 4.0
+      // reads differently from int 4.
       char buf[64];
       snprintf(buf, sizeof(buf), "%.17g", AsDouble());
       std::string s(buf);
@@ -103,32 +77,6 @@ std::string Value::ToString() const {
       return QuoteString(AsString());
   }
   return "null";
-}
-
-Result<Value> Value::Parse(const std::string& text) {
-  if (text.empty()) return Status::ParseError("empty value text");
-  if (text == "null") return Value();
-  if (text == "true") return Value(true);
-  if (text == "false") return Value(false);
-  if (text.front() == '"') {
-    Result<std::string> s = UnquoteString(text);
-    if (!s.ok()) return s.status();
-    return Value(std::move(s).value());
-  }
-  // Numeric: integer if it parses fully as one and has no '.', 'e', inf/nan.
-  bool looks_double = text.find('.') != std::string::npos ||
-                      text.find('e') != std::string::npos ||
-                      text.find('E') != std::string::npos ||
-                      text.find("inf") != std::string::npos ||
-                      text.find("nan") != std::string::npos;
-  char* end = nullptr;
-  if (!looks_double) {
-    long long i = strtoll(text.c_str(), &end, 10);
-    if (end && *end == '\0') return Value(static_cast<int64_t>(i));
-  }
-  double d = strtod(text.c_str(), &end);
-  if (end && *end == '\0') return Value(d);
-  return Status::ParseError("unparseable value: " + text);
 }
 
 }  // namespace crew

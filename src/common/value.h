@@ -5,8 +5,6 @@
 #include <string>
 #include <variant>
 
-#include "common/status.h"
-
 namespace crew {
 
 /// A typed workflow data item. Steps read and write named Values; the
@@ -52,12 +50,10 @@ class Value {
   bool operator==(const Value& o) const;
   bool operator!=(const Value& o) const { return !(*this == o); }
 
-  /// Renders for logs and packet serialization: null, true, 42, 4.5,
-  /// "text" (strings are quoted with backslash escaping).
+  /// Renders for logs and display: null, true, 42, 4.5, "text" (strings
+  /// are quoted with backslash escaping). Records that are read back
+  /// use the binary form (common/binio.h).
   std::string ToString() const;
-
-  /// Parses the ToString() representation back. Round-trips exactly.
-  static Result<Value> Parse(const std::string& text);
 
  private:
   std::variant<std::monostate, bool, int64_t, double, std::string> v_;

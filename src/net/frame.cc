@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "runtime/binio.h"
+#include "common/binio.h"
 #include "runtime/codec.h"
 #include "sim/metrics.h"
 
@@ -48,12 +48,12 @@ std::string EncodeFrame(const Frame& frame) {
     case Frame::Kind::kHello: {
       // HELLO carries the sender's type dictionary: names in id order.
       size_t dict = runtime::WireTypeCount();
-      size_t bound = 3 * runtime::kMaxVarintBytes +
-                     runtime::BytesBound(frame.endpoint);
+      size_t bound = 3 * kMaxVarintBytes +
+                     BytesBound(frame.endpoint);
       for (size_t i = 0; i < dict; ++i) {
-        bound += runtime::BytesBound(runtime::WireTypeName(i));
+        bound += BytesBound(runtime::WireTypeName(i));
       }
-      runtime::BinWriter w(&body, bound);
+      BinWriter w(&body, bound);
       w.Varint(frame.incarnation);
       w.Zig(frame.sent_ticks);
       w.Bytes(frame.endpoint);
@@ -65,7 +65,7 @@ std::string EncodeFrame(const Frame& frame) {
       return AssembleEnvelope(Frame::Kind::kHello, body);
     }
     case Frame::Kind::kAck: {
-      runtime::BinWriter w(&body, 2 * runtime::kMaxVarintBytes);
+      BinWriter w(&body, 2 * kMaxVarintBytes);
       w.Varint(frame.watermark);
       w.Varint(frame.incarnation);
       w.Finish();
@@ -77,10 +77,10 @@ std::string EncodeFrame(const Frame& frame) {
       const bool traced = frame.message.trace_id != 0;
       uint8_t flags = (traced ? kDataFlagTraced : 0) |
                       (type_id < 0 ? kDataFlagInlineType : 0);
-      size_t bound = 2 + 5 * runtime::kMaxVarintBytes +
-                     runtime::BytesBound(frame.message.type) +
-                     2 * runtime::kMaxVarintBytes;
-      runtime::BinWriter w(&body, bound);
+      size_t bound = 2 + 5 * kMaxVarintBytes +
+                     BytesBound(frame.message.type) +
+                     2 * kMaxVarintBytes;
+      BinWriter w(&body, bound);
       w.U8(flags);
       w.Varint(frame.seq);
       w.Zig(frame.message.from);
@@ -104,7 +104,7 @@ std::string EncodeFrame(const Frame& frame) {
 }
 
 void AppendBatchHeader(std::string* out, size_t count, size_t inner_bytes) {
-  char cnt[runtime::kMaxVarintBytes];
+  char cnt[kMaxVarintBytes];
   size_t n = 0;
   uint64_t v = count;
   while (v >= 0x80) {
@@ -121,7 +121,7 @@ std::string EncodeSuperframe(const std::vector<std::string>& frames) {
   size_t inner = 0;
   for (const std::string& f : frames) inner += f.size();
   std::string out;
-  out.reserve(4 + 1 + runtime::kMaxVarintBytes + inner);
+  out.reserve(4 + 1 + kMaxVarintBytes + inner);
   AppendBatchHeader(&out, frames.size(), inner);
   for (const std::string& f : frames) out += f;
   return out;
@@ -134,10 +134,10 @@ Status CheckShippable(const sim::Message& message) {
   // dictionary id, and the trace id plus send tick the transport may
   // add after admission. A batch never grows past its policy cap, which
   // is far below the frame limit, so only the bare frame needs checking.
-  size_t header = 1 /* flags */ + runtime::kMaxVarintBytes /* seq */ +
-                  2 * runtime::kMaxVarintBytes /* from, to */ +
-                  1 /* category */ + runtime::BytesBound(message.type) +
-                  2 * runtime::kMaxVarintBytes /* trace id, sent ticks */;
+  size_t header = 1 /* flags */ + kMaxVarintBytes /* seq */ +
+                  2 * kMaxVarintBytes /* from, to */ +
+                  1 /* category */ + BytesBound(message.type) +
+                  2 * kMaxVarintBytes /* trace id, sent ticks */;
   size_t length = 1 /* kind */ + header + message.payload.size();
   if (length > kMaxFrameBytes) {
     return Status::InvalidArgument(
@@ -189,7 +189,7 @@ bool FrameDecoder::DecodeOne() {
   if (kind == Frame::Kind::kBatch) {
     // A superframe: [varint count][count inner envelopes], which must
     // exactly tile the body. Inner batches are forbidden (no nesting).
-    runtime::BinReader r(std::string_view(body + 1, body_len));
+    BinReader r(std::string_view(body + 1, body_len));
     uint64_t count;
     if (!r.Varint(&count)) {
       status_ = Status::Corruption("malformed batch header");
@@ -237,7 +237,7 @@ bool FrameDecoder::DecodeOne() {
 
 bool FrameDecoder::ParseBody(Frame::Kind kind, const char* body,
                              size_t body_len, Frame* out) {
-  runtime::BinReader r(std::string_view(body, body_len));
+  BinReader r(std::string_view(body, body_len));
   switch (kind) {
     case Frame::Kind::kHello: {
       uint64_t incarnation, count;

@@ -17,7 +17,7 @@ namespace crew::net {
 ///   [u32 length][u8 kind][body]
 ///
 /// `length` (little-endian) covers everything after itself. Bodies are
-/// varint/zigzag fields (runtime/binio.h), self-delimiting, with any
+/// varint/zigzag fields (common/binio.h), self-delimiting, with any
 /// payload at the tail; DESIGN.md §5g/§5i give the exact layouts.
 ///
 /// Kinds:

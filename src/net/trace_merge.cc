@@ -1,100 +1,52 @@
 #include "net/trace_merge.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
-#include "runtime/kv.h"
+#include "runtime/fields.h"
+
+namespace crew::obs {
+
+// A trace record as a section entry of a shard file.
+template <runtime::Is<TraceRecord> R, class F>
+void EntryFields(R& r, F&& f) {
+  f(r.time);
+  f(r.dur);
+  f(r.phase);
+  f(r.kind);
+  f(r.node);
+  f(r.instance);
+  f(r.step);
+  f(r.category);
+  f(r.value);
+  f(r.flow);
+  f(r.name);
+  f(r.detail);
+}
+
+}  // namespace crew::obs
 
 namespace crew::net {
+
+template <runtime::Is<ClockSample> C, class F>
+void EntryFields(C& c, F&& f) {
+  f(c.peer);
+  f(c.peer_incarnation);
+  f(c.remote_sent_ticks);
+  f(c.local_recv_ticks);
+  f(c.count);
+}
+
+using runtime::DecodeFields;
+using runtime::EncodeFields;
+CREW_FIELD_CODEC(TraceShard)
+
 namespace {
-
-/// Shard-file field escaping: '|' separates fields and the kv layer
-/// splits on newlines, so both (and the escape char itself) are
-/// percent-encoded. Everything else passes through.
-std::string EscapeField(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '%':
-        out += "%25";
-        break;
-      case '|':
-        out += "%7C";
-        break;
-      case '\n':
-        out += "%0A";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string UnescapeField(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '%' && i + 2 < text.size()) {
-      if (text.compare(i + 1, 2, "25") == 0) {
-        out += '%';
-        i += 2;
-        continue;
-      }
-      if (text.compare(i + 1, 2, "7C") == 0) {
-        out += '|';
-        i += 2;
-        continue;
-      }
-      if (text.compare(i + 1, 2, "0A") == 0) {
-        out += '\n';
-        i += 2;
-        continue;
-      }
-    }
-    out += text[i];
-  }
-  return out;
-}
-
-std::vector<std::string> SplitFields(const std::string& line) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  for (;;) {
-    size_t bar = line.find('|', start);
-    if (bar == std::string::npos) {
-      fields.push_back(line.substr(start));
-      return fields;
-    }
-    fields.push_back(line.substr(start, bar - start));
-    start = bar + 1;
-  }
-}
-
-int64_t ParseI64(const std::string& text) {
-  return static_cast<int64_t>(std::strtoll(text.c_str(), nullptr, 10));
-}
-
-uint64_t ParseU64(const std::string& text) {
-  return static_cast<uint64_t>(std::strtoull(text.c_str(), nullptr, 10));
-}
 
 std::string ShardLabel(const TraceShard& shard) {
   return shard.endpoint + "#inc" + std::to_string(shard.incarnation);
-}
-
-Status WriteFile(const std::string& path, const std::string& body) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::Unavailable("cannot open " + path);
-  out << body;
-  out.flush();
-  if (!out) return Status::Unavailable("short write to " + path);
-  return Status::OK();
 }
 
 /// Estimated per-shard clock offsets (µs relative to the reference),
@@ -238,27 +190,21 @@ std::vector<Placed> PlaceRecords(const std::vector<TraceShard>& shards,
   return placed;
 }
 
-std::string MergedDisplayName(const obs::TraceRecord& r) {
-  std::string name = r.name;
-  if (!r.instance.workflow.empty() || r.instance.number != 0) {
-    name += " " + r.instance.ToString();
+/// Each shard's records carry its endpoint and incarnation as extra
+/// export args.
+std::vector<std::string> ShardArgs(const std::vector<TraceShard>& shards) {
+  std::vector<std::string> args;
+  args.reserve(shards.size());
+  for (const TraceShard& shard : shards) {
+    args.push_back("\"endpoint\":\"" + obs::JsonEscape(shard.endpoint) +
+                   "\",\"incarnation\":" +
+                   std::to_string(shard.incarnation));
   }
-  if (r.step != kInvalidStep) name += " S" + std::to_string(r.step);
-  return name;
+  return args;
 }
 
-void AppendMergedArgs(std::string* out, const obs::TraceRecord& r,
-                      const TraceShard& shard) {
-  *out += "\"args\":{\"endpoint\":\"" + obs::JsonEscape(shard.endpoint) +
-          "\",\"incarnation\":" + std::to_string(shard.incarnation) +
-          ",\"instance\":\"" + obs::JsonEscape(r.instance.ToString()) +
-          "\",\"step\":" + std::to_string(r.step) + ",\"category\":\"" +
-          obs::TraceCategoryLabel(r.category) + "\"";
-  if (r.value != 0) *out += ",\"value\":" + std::to_string(r.value);
-  if (!r.detail.empty()) {
-    *out += ",\"detail\":\"" + obs::JsonEscape(r.detail) + "\"";
-  }
-  *out += "}";
+int64_t DurationUs(const Placed& p, const std::vector<TraceShard>& shards) {
+  return std::max<int64_t>(p.rec->dur, 0) * shards[p.shard].tick_us;
 }
 
 }  // namespace
@@ -277,34 +223,7 @@ TraceShard ShardFromRing(const obs::RingBufferTracer& ring,
 }
 
 Status WriteTraceShard(const TraceShard& shard, const std::string& path) {
-  runtime::KvWriter kv;
-  kv.Add("endpoint", shard.endpoint);
-  kv.AddInt("incarnation", static_cast<int64_t>(shard.incarnation));
-  kv.AddInt("tick_us", shard.tick_us);
-  for (const ClockSample& c : shard.clocks) {
-    std::string line = EscapeField(c.peer) + "|" +
-                       std::to_string(c.peer_incarnation) + "|" +
-                       std::to_string(c.remote_sent_ticks) + "|" +
-                       std::to_string(c.local_recv_ticks) + "|" +
-                       std::to_string(c.count);
-    kv.Add("clock", line);
-  }
-  for (const auto& [node, name] : shard.node_names) {
-    kv.Add("node_name", std::to_string(node) + "|" + EscapeField(name));
-  }
-  for (const obs::TraceRecord& r : shard.records) {
-    std::string line =
-        std::to_string(r.time) + "|" + std::to_string(r.dur) + "|" +
-        std::to_string(static_cast<int>(r.phase)) + "|" +
-        std::to_string(static_cast<int>(r.kind)) + "|" +
-        std::to_string(r.node) + "|" + EscapeField(r.instance.workflow) +
-        "|" + std::to_string(r.instance.number) + "|" +
-        std::to_string(r.step) + "|" + std::to_string(r.category) + "|" +
-        std::to_string(r.value) + "|" + std::to_string(r.flow) + "|" +
-        EscapeField(r.name) + "|" + EscapeField(r.detail);
-    kv.Add("rec", line);
-  }
-  return WriteFile(path, kv.Finish());
+  return obs::WriteFile(path, shard.Serialize());
 }
 
 Result<TraceShard> LoadTraceShard(const std::string& path) {
@@ -312,62 +231,13 @@ Result<TraceShard> LoadTraceShard(const std::string& path) {
   if (!in) return Status::Unavailable("cannot open " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  Result<runtime::KvReader> reader = runtime::KvReader::Parse(buffer.str());
-  if (!reader.ok()) return reader.status();
-  const runtime::KvReader& kv = reader.value();
-
-  TraceShard shard;
-  Result<std::string> endpoint = kv.GetRequired("endpoint");
-  if (!endpoint.ok()) {
-    return Status::Corruption("shard " + path + " missing endpoint");
+  Result<TraceShard> shard = TraceShard::Parse(buffer.str());
+  if (!shard.ok()) {
+    return Status::Corruption("shard " + path + ": " +
+                              shard.status().ToString());
   }
-  shard.endpoint = std::move(endpoint).value();
-  shard.incarnation = static_cast<uint64_t>(kv.GetIntOr("incarnation", 1));
-  shard.tick_us = kv.GetIntOr("tick_us", 50);
-  if (shard.tick_us <= 0) {
+  if (shard.value().tick_us <= 0) {
     return Status::Corruption("shard " + path + " has bad tick_us");
-  }
-  for (const std::string& line : kv.GetAll("clock")) {
-    std::vector<std::string> f = SplitFields(line);
-    if (f.size() != 5) {
-      return Status::Corruption("shard " + path + " has bad clock line");
-    }
-    ClockSample c;
-    c.peer = UnescapeField(f[0]);
-    c.peer_incarnation = ParseU64(f[1]);
-    c.remote_sent_ticks = ParseI64(f[2]);
-    c.local_recv_ticks = ParseI64(f[3]);
-    c.count = ParseI64(f[4]);
-    shard.clocks.push_back(std::move(c));
-  }
-  for (const std::string& line : kv.GetAll("node_name")) {
-    std::vector<std::string> f = SplitFields(line);
-    if (f.size() != 2) {
-      return Status::Corruption("shard " + path + " has bad node_name line");
-    }
-    shard.node_names[static_cast<NodeId>(ParseI64(f[0]))] =
-        UnescapeField(f[1]);
-  }
-  for (const std::string& line : kv.GetAll("rec")) {
-    std::vector<std::string> f = SplitFields(line);
-    if (f.size() != 13) {
-      return Status::Corruption("shard " + path + " has bad rec line");
-    }
-    obs::TraceRecord r;
-    r.time = ParseI64(f[0]);
-    r.dur = ParseI64(f[1]);
-    r.phase = static_cast<obs::TracePhase>(ParseI64(f[2]));
-    r.kind = static_cast<obs::SpanKind>(ParseI64(f[3]));
-    r.node = static_cast<NodeId>(ParseI64(f[4]));
-    r.instance.workflow = UnescapeField(f[5]);
-    r.instance.number = ParseI64(f[6]);
-    r.step = static_cast<StepId>(ParseI64(f[7]));
-    r.category = static_cast<int>(ParseI64(f[8]));
-    r.value = ParseI64(f[9]);
-    r.flow = ParseU64(f[10]);
-    r.name = UnescapeField(f[11]);
-    r.detail = UnescapeField(f[12]);
-    shard.records.push_back(std::move(r));
   }
   return shard;
 }
@@ -377,86 +247,23 @@ std::string MergeTraceShards(const std::vector<TraceShard>& shards,
   if (stats != nullptr) *stats = MergeStats{};
   std::vector<int64_t> offset = EstimateOffsets(shards, stats);
   std::vector<Placed> placed = PlaceRecords(shards, offset, stats);
+  std::vector<std::string> args = ShardArgs(shards);
 
-  std::string out;
-  out.reserve(placed.size() * 200 + 2048);
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  auto comma = [&] {
-    if (!first) out += ",\n";
-    first = false;
-  };
-
+  obs::ChromeTraceWriter writer({}, placed.size());
   for (size_t i = 0; i < shards.size(); ++i) {
-    const TraceShard& shard = shards[i];
-    int64_t pid = static_cast<int64_t>(i) + 1;
-    comma();
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-           std::to_string(pid) + ",\"tid\":0,\"args\":{\"name\":\"" +
-           obs::JsonEscape(ShardLabel(shard)) + "\"}}";
-    std::map<NodeId, std::string> tracks = shard.node_names;
-    for (const obs::TraceRecord& r : shard.records) {
-      if (r.node != kInvalidNode && tracks.find(r.node) == tracks.end()) {
-        tracks[r.node] = "node-" + std::to_string(r.node);
-      }
-    }
-    for (const auto& [node, name] : tracks) {
-      comma();
-      out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
-             std::to_string(pid) + ",\"tid\":" + std::to_string(node) +
-             ",\"args\":{\"name\":\"" + obs::JsonEscape(name) + "\"}}";
-    }
+    writer.Process(static_cast<int64_t>(i) + 1, ShardLabel(shards[i]),
+                   shards[i].node_names, shards[i].records);
   }
-
   for (const Placed& p : placed) {
-    const obs::TraceRecord& r = *p.rec;
-    const TraceShard& shard = shards[p.shard];
-    int64_t pid = static_cast<int64_t>(p.shard) + 1;
-    NodeId tid = r.node == kInvalidNode ? 0 : r.node;
-    std::string cat = std::string(obs::SpanKindName(r.kind)) + "," +
-                      obs::TraceCategoryLabel(r.category);
-    comma();
-    if (r.phase == obs::TracePhase::kComplete) {
-      int64_t dur_us = std::max<int64_t>(r.dur, 0) * shard.tick_us;
-      out += "{\"name\":\"" + obs::JsonEscape(MergedDisplayName(r)) +
-             "\",\"cat\":\"" + cat + "\",\"ph\":\"X\",\"ts\":" +
-             std::to_string(p.ts_us) + ",\"dur\":" + std::to_string(dur_us) +
-             ",\"pid\":" + std::to_string(pid) + ",\"tid\":" +
-             std::to_string(tid) + ",";
-      AppendMergedArgs(&out, r, shard);
-      out += "}";
-    } else if (r.phase == obs::TracePhase::kFlowBegin ||
-               r.phase == obs::TracePhase::kFlowEnd) {
-      // The two halves — recorded in different processes — carry the
-      // same flow id, name and categories, which is exactly what the
-      // async-event ("b"/"e") matching keys on: the viewer draws one
-      // span from the sender's Begin to the receiver's End.
-      char id[24];
-      std::snprintf(id, sizeof(id), "0x%" PRIx64, r.flow);
-      out += "{\"name\":\"" + obs::JsonEscape(r.name) + "\",\"cat\":\"" +
-             cat + "\",\"ph\":\"" +
-             (r.phase == obs::TracePhase::kFlowBegin ? "b" : "e") +
-             "\",\"id\":\"" + id + "\",\"ts\":" + std::to_string(p.ts_us) +
-             ",\"pid\":" + std::to_string(pid) + ",\"tid\":" +
-             std::to_string(tid) + ",";
-      AppendMergedArgs(&out, r, shard);
-      out += "}";
-    } else {
-      out += "{\"name\":\"" + obs::JsonEscape(MergedDisplayName(r)) +
-             "\",\"cat\":\"" + cat + "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" +
-             std::to_string(p.ts_us) + ",\"pid\":" + std::to_string(pid) +
-             ",\"tid\":" + std::to_string(tid) + ",";
-      AppendMergedArgs(&out, r, shard);
-      out += "}";
-    }
+    writer.Event(*p.rec, p.ts_us, DurationUs(p, shards),
+                 static_cast<int64_t>(p.shard) + 1, args[p.shard]);
   }
-  out += "\n]}\n";
-  return out;
+  return writer.Finish();
 }
 
 Status WriteMergedTrace(const std::vector<TraceShard>& shards,
                         const std::string& path, MergeStats* stats) {
-  return WriteFile(path, MergeTraceShards(shards, stats));
+  return obs::WriteFile(path, MergeTraceShards(shards, stats));
 }
 
 std::string MergedJsonl(const std::vector<TraceShard>& shards,
@@ -464,35 +271,12 @@ std::string MergedJsonl(const std::vector<TraceShard>& shards,
   if (stats != nullptr) *stats = MergeStats{};
   std::vector<int64_t> offset = EstimateOffsets(shards, stats);
   std::vector<Placed> placed = PlaceRecords(shards, offset, stats);
+  std::vector<std::string> args = ShardArgs(shards);
   std::string out;
   out.reserve(placed.size() * 160);
   for (const Placed& p : placed) {
-    const obs::TraceRecord& r = *p.rec;
-    const TraceShard& shard = shards[p.shard];
-    out += "{\"ts_us\":" + std::to_string(p.ts_us) + ",\"endpoint\":\"" +
-           obs::JsonEscape(shard.endpoint) + "\",\"incarnation\":" +
-           std::to_string(shard.incarnation);
-    if (r.phase == obs::TracePhase::kComplete) {
-      out += ",\"dur_us\":" +
-             std::to_string(std::max<int64_t>(r.dur, 0) * shard.tick_us);
-    }
-    if (r.phase == obs::TracePhase::kFlowBegin ||
-        r.phase == obs::TracePhase::kFlowEnd) {
-      char flow[48];
-      std::snprintf(
-          flow, sizeof(flow), ",\"ph\":\"%s\",\"flow\":\"0x%" PRIx64 "\"",
-          r.phase == obs::TracePhase::kFlowBegin ? "fb" : "fe", r.flow);
-      out += flow;
-    }
-    out += ",\"kind\":\"" + std::string(obs::SpanKindName(r.kind)) +
-           "\",\"name\":\"" + obs::JsonEscape(r.name) + "\",\"node\":" +
-           std::to_string(r.node) + ",\"category\":\"" +
-           obs::TraceCategoryLabel(r.category) + "\"";
-    if (r.value != 0) out += ",\"value\":" + std::to_string(r.value);
-    if (!r.detail.empty()) {
-      out += ",\"detail\":\"" + obs::JsonEscape(r.detail) + "\"";
-    }
-    out += "}\n";
+    obs::AppendJsonlLine(&out, *p.rec, p.ts_us, DurationUs(p, shards),
+                         args[p.shard], obs::kMergedJsonl);
   }
   return out;
 }

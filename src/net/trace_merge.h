@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "net/socket_transport.h"
 #include "obs/trace.h"
+#include "runtime/codec.h"
 
 namespace crew::net {
 
@@ -18,6 +19,11 @@ namespace crew::net {
 /// incarnation) pair identifies one *clock* — a restarted process is a
 /// new shard even at the same address, because its tick counter
 /// restarts from its own process start.
+///
+/// A shard file is one binary payload of the field-list codec
+/// (runtime/fields.h) under BinMsgId::kTraceShard; clock samples and
+/// records are section entries. Each node writes its shard on its own
+/// and the merge step only reads them.
 struct TraceShard {
   std::string endpoint;
   uint64_t incarnation = 1;
@@ -25,6 +31,18 @@ struct TraceShard {
   std::vector<ClockSample> clocks;
   std::map<NodeId, std::string> node_names;
   std::vector<obs::TraceRecord> records;
+  static constexpr runtime::BinMsgId kWireId = runtime::BinMsgId::kTraceShard;
+  template <class M, class F>
+  static void Fields(M& m, F& f) {
+    f.Str(1, m.endpoint, runtime::kRequired);
+    f.Int(2, m.incarnation);
+    f.Int(3, m.tick_us);
+    f.List(4, m.clocks);
+    f.Map(5, m.node_names);
+    f.List(6, m.records);
+  }
+  std::string Serialize() const;
+  static Result<TraceShard> Parse(const std::string& payload);
 };
 
 /// Snapshots a ring sink (plus the owning transport's clock samples)
@@ -33,12 +51,8 @@ TraceShard ShardFromRing(const obs::RingBufferTracer& ring,
                          std::string endpoint, uint64_t incarnation,
                          int64_t tick_us, std::vector<ClockSample> clocks);
 
-/// Shard file: one kv document (runtime/kv.h) with repeated keys —
-/// meta (endpoint/incarnation/tick_us), "clock" and "node_name" lines,
-/// then one "rec" line per record with '|'-separated fields
-/// (percent-escaped strings). Plain text so a crashed merge never
-/// corrupts anything downstream: each node writes its shard
-/// independently and the merge step is a pure reader.
+/// Serializes a shard to `path` / reads one back; a file that does not
+/// parse, or has a tick_us that is not positive, is kCorruption.
 Status WriteTraceShard(const TraceShard& shard, const std::string& path);
 Result<TraceShard> LoadTraceShard(const std::string& path);
 

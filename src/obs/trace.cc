@@ -405,122 +405,34 @@ std::string DisplayName(const TraceRecord& r) {
   return name;
 }
 
-void AppendArgs(std::string* out, const TraceRecord& r) {
-  *out += "\"args\":{\"instance\":\"" + JsonEscape(r.instance.ToString()) +
-          "\",\"step\":" + std::to_string(r.step) +
-          ",\"category\":\"" + TraceCategoryLabel(r.category) + "\"";
+void AppendValueAndDetail(std::string* out, const TraceRecord& r) {
   if (r.value != 0) *out += ",\"value\":" + std::to_string(r.value);
   if (!r.detail.empty()) {
     *out += ",\"detail\":\"" + JsonEscape(r.detail) + "\"";
   }
+}
+
+void AppendArgs(std::string* out, const TraceRecord& r,
+                std::string_view extra_args) {
+  *out += "\"args\":{";
+  if (!extra_args.empty()) {
+    *out += extra_args;
+    *out += ',';
+  }
+  *out += "\"instance\":\"" + JsonEscape(r.instance.ToString()) +
+          "\",\"step\":" + std::to_string(r.step) + ",\"category\":\"" +
+          TraceCategoryLabel(r.category) + "\"";
+  AppendValueAndDetail(out, r);
   *out += "}";
+}
+
+bool IsFlow(const TraceRecord& r) {
+  return r.phase == TracePhase::kFlowBegin || r.phase == TracePhase::kFlowEnd;
 }
 
 }  // namespace
 
-std::string RingBufferTracer::ChromeTraceJson() const {
-  std::string out;
-  out.reserve(records_.size() * 160 + 1024);
-  out += "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":" +
-         std::to_string(dropped_) +
-         ",\"openSpans\":" + std::to_string(open_.size()) +
-         "},\"traceEvents\":[\n";
-  bool first = true;
-  auto comma = [&] {
-    if (!first) out += ",\n";
-    first = false;
-  };
-
-  comma();
-  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
-         "\"args\":{\"name\":\"crew-sim\"}}";
-
-  // One thread track per node; pick up nodes seen in records even if
-  // they were never given an explicit name.
-  std::map<NodeId, std::string> tracks = node_names_;
-  for (const TraceRecord& r : records_) {
-    if (r.node != kInvalidNode && tracks.find(r.node) == tracks.end()) {
-      tracks[r.node] = "node-" + std::to_string(r.node);
-    }
-  }
-  for (const auto& [node, name] : tracks) {
-    comma();
-    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-           std::to_string(node) + ",\"args\":{\"name\":\"" +
-           JsonEscape(name) + "\"}}";
-  }
-
-  for (const TraceRecord& r : records_) {
-    comma();
-    std::string cat = std::string(SpanKindName(r.kind)) + "," +
-                      TraceCategoryLabel(r.category);
-    NodeId tid = r.node == kInvalidNode ? 0 : r.node;
-    if (r.phase == TracePhase::kComplete) {
-      out += "{\"name\":\"" + JsonEscape(DisplayName(r)) + "\",\"cat\":\"" +
-             cat + "\",\"ph\":\"X\",\"ts\":" + std::to_string(r.time) +
-             ",\"dur\":" + std::to_string(std::max<int64_t>(r.dur, 0)) +
-             ",\"pid\":0,\"tid\":" + std::to_string(tid) + ",";
-      AppendArgs(&out, r);
-      out += "}";
-    } else if (r.phase == TracePhase::kFlowBegin ||
-               r.phase == TracePhase::kFlowEnd) {
-      // Async begin/end: Chrome/Perfetto pair them by (cat, id, name).
-      char id[24];
-      std::snprintf(id, sizeof(id), "0x%" PRIx64, r.flow);
-      out += "{\"name\":\"" + JsonEscape(r.name) + "\",\"cat\":\"" + cat +
-             "\",\"ph\":\"" +
-             (r.phase == TracePhase::kFlowBegin ? "b" : "e") +
-             "\",\"id\":\"" + id + "\",\"ts\":" + std::to_string(r.time) +
-             ",\"pid\":0,\"tid\":" + std::to_string(tid) + ",";
-      AppendArgs(&out, r);
-      out += "}";
-    } else {
-      out += "{\"name\":\"" + JsonEscape(DisplayName(r)) + "\",\"cat\":\"" +
-             cat + "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" +
-             std::to_string(r.time) + ",\"pid\":0,\"tid\":" +
-             std::to_string(tid) + ",";
-      AppendArgs(&out, r);
-      out += "}";
-    }
-  }
-  out += "\n]}\n";
-  return out;
-}
-
-std::string RingBufferTracer::JsonlLog() const {
-  std::string out;
-  out.reserve(records_.size() * 120);
-  for (const TraceRecord& r : records_) {
-    out += "{\"t\":" + std::to_string(r.time);
-    if (r.phase == TracePhase::kComplete) {
-      out += ",\"dur\":" + std::to_string(r.dur);
-    }
-    if (r.phase == TracePhase::kFlowBegin ||
-        r.phase == TracePhase::kFlowEnd) {
-      char flow[48];
-      std::snprintf(flow, sizeof(flow), ",\"ph\":\"%s\",\"flow\":\"0x%" PRIx64
-                    "\"",
-                    r.phase == TracePhase::kFlowBegin ? "fb" : "fe", r.flow);
-      out += flow;
-    }
-    out += ",\"kind\":\"" + std::string(SpanKindName(r.kind)) +
-           "\",\"name\":\"" + JsonEscape(r.name) + "\",\"node\":" +
-           std::to_string(r.node) + ",\"instance\":\"" +
-           JsonEscape(r.instance.ToString()) + "\",\"step\":" +
-           std::to_string(r.step) + ",\"category\":\"" +
-           TraceCategoryLabel(r.category) + "\"";
-    if (r.value != 0) out += ",\"value\":" + std::to_string(r.value);
-    if (!r.detail.empty()) {
-      out += ",\"detail\":\"" + JsonEscape(r.detail) + "\"";
-    }
-    out += "}\n";
-  }
-  return out;
-}
-
-namespace {
-
-Status WriteFile(const std::string& path, const std::string& body) {
+Status WriteFile(const std::string& path, std::string_view body) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::Unavailable("cannot open " + path);
   out << body;
@@ -529,7 +441,115 @@ Status WriteFile(const std::string& path, const std::string& body) {
   return Status::OK();
 }
 
-}  // namespace
+ChromeTraceWriter::ChromeTraceWriter(std::string_view other_data,
+                                     size_t events) {
+  out_.reserve(events * 200 + 2048);
+  out_ += "{\"displayTimeUnit\":\"ms\",";
+  if (!other_data.empty()) {
+    out_ += "\"otherData\":{";
+    out_ += other_data;
+    out_ += "},";
+  }
+  out_ += "\"traceEvents\":[\n";
+}
+
+void ChromeTraceWriter::Separate() {
+  if (!first_) out_ += ",\n";
+  first_ = false;
+}
+
+void ChromeTraceWriter::Metadata(const char* what, int64_t pid, NodeId tid,
+                                 std::string_view name) {
+  Separate();
+  out_ += std::string("{\"name\":\"") + what + "\",\"ph\":\"M\",\"pid\":" +
+          std::to_string(pid) + ",\"tid\":" + std::to_string(tid) +
+          ",\"args\":{\"name\":\"" + JsonEscape(name) + "\"}}";
+}
+
+void ChromeTraceWriter::Event(const TraceRecord& r, int64_t ts, int64_t dur,
+                              int64_t pid, std::string_view extra_args) {
+  Separate();
+  bool flow = IsFlow(r);
+  out_ += "{\"name\":\"" + JsonEscape(flow ? r.name : DisplayName(r)) +
+          "\",\"cat\":\"" + SpanKindName(r.kind) + "," +
+          TraceCategoryLabel(r.category) + "\",\"ph\":\"";
+  if (r.phase == TracePhase::kComplete) {
+    out_ += "X\",\"ts\":" + std::to_string(ts) + ",\"dur\":" +
+            std::to_string(dur);
+  } else if (flow) {
+    // Async begin/end: Chrome/Perfetto pair them by (cat, id, name), so
+    // the two halves, recorded in different processes, draw one span
+    // from the sender's Begin to the receiver's End.
+    char id[24];
+    std::snprintf(id, sizeof(id), "0x%" PRIx64, r.flow);
+    out_ += std::string(r.phase == TracePhase::kFlowBegin ? "b" : "e") +
+            "\",\"id\":\"" + id + "\",\"ts\":" + std::to_string(ts);
+  } else {
+    out_ += "i\",\"s\":\"t\",\"ts\":" + std::to_string(ts);
+  }
+  NodeId tid = r.node == kInvalidNode ? 0 : r.node;
+  out_ += ",\"pid\":" + std::to_string(pid) + ",\"tid\":" +
+          std::to_string(tid) + ",";
+  AppendArgs(&out_, r, extra_args);
+  out_ += "}";
+}
+
+std::string ChromeTraceWriter::Finish() {
+  out_ += "\n]}\n";
+  return std::move(out_);
+}
+
+void AppendJsonlLine(std::string* out, const TraceRecord& r, int64_t ts,
+                     int64_t dur, std::string_view extra_args,
+                     const JsonlKeys& keys) {
+  *out += "{\"" + std::string(keys.ts) + "\":" + std::to_string(ts);
+  if (!extra_args.empty()) {
+    *out += ',';
+    *out += extra_args;
+  }
+  if (r.phase == TracePhase::kComplete) {
+    *out += ",\"" + std::string(keys.dur) + "\":" + std::to_string(dur);
+  }
+  if (IsFlow(r)) {
+    char flow[48];
+    std::snprintf(flow, sizeof(flow), ",\"ph\":\"%s\",\"flow\":\"0x%" PRIx64
+                  "\"",
+                  r.phase == TracePhase::kFlowBegin ? "fb" : "fe", r.flow);
+    *out += flow;
+  }
+  *out += ",\"kind\":\"" + std::string(SpanKindName(r.kind)) +
+          "\",\"name\":\"" + JsonEscape(r.name) + "\",\"node\":" +
+          std::to_string(r.node);
+  if (keys.instance_and_step) {
+    *out += ",\"instance\":\"" + JsonEscape(r.instance.ToString()) +
+            "\",\"step\":" + std::to_string(r.step);
+  }
+  *out += ",\"category\":\"" + std::string(TraceCategoryLabel(r.category)) +
+          "\"";
+  AppendValueAndDetail(out, r);
+  *out += "}\n";
+}
+
+std::string RingBufferTracer::ChromeTraceJson() const {
+  ChromeTraceWriter writer("\"dropped\":" + std::to_string(dropped_) +
+                               ",\"openSpans\":" +
+                               std::to_string(open_.size()),
+                           records_.size());
+  writer.Process(0, "crew-sim", node_names_, records_);
+  for (const TraceRecord& r : records_) {
+    writer.Event(r, r.time, std::max<int64_t>(r.dur, 0), 0, {});
+  }
+  return writer.Finish();
+}
+
+std::string RingBufferTracer::JsonlLog() const {
+  std::string out;
+  out.reserve(records_.size() * 120);
+  for (const TraceRecord& r : records_) {
+    AppendJsonlLine(&out, r, r.time, r.dur, {}, kRingJsonl);
+  }
+  return out;
+}
 
 Status RingBufferTracer::WriteChromeTrace(const std::string& path) const {
   return WriteFile(path, ChromeTraceJson());

@@ -69,6 +69,73 @@ const char* TraceCategoryLabel(int category);
 /// Escapes a string for embedding in a JSON string literal (no quotes).
 std::string JsonEscape(std::string_view text);
 
+/// Writes `body` to `path`, replacing the file.
+Status WriteFile(const std::string& path, std::string_view body);
+
+// ---- Export writers, shared by the ring (RingBufferTracer) and the
+// cluster trace merge (net/trace_merge.h). A record's timestamp and
+// duration are given in the export's unit (ticks for a ring, µs for a
+// merge); `extra_args` are JSON members written ahead of the record's
+// own, e.g. `"endpoint":"a","incarnation":1`, or empty. ----
+
+/// Builds a Chrome trace_event JSON document (object form, loadable in
+/// chrome://tracing and Perfetto) one event at a time.
+class ChromeTraceWriter {
+ public:
+  /// `other_data`: the members of an "otherData" object; none if empty.
+  /// `events`: how many events to reserve room for.
+  ChromeTraceWriter(std::string_view other_data, size_t events);
+
+  /// Names process `pid` and gives it one thread track per node: the
+  /// registered `node_names`, then "node-N" for any other node that a
+  /// record names.
+  template <class Records>
+  void Process(int64_t pid, std::string_view name,
+               const std::map<NodeId, std::string>& node_names,
+               const Records& records) {
+    std::map<NodeId, std::string> tracks = node_names;
+    for (const TraceRecord& r : records) {
+      if (r.node != kInvalidNode && tracks.find(r.node) == tracks.end()) {
+        tracks[r.node] = "node-" + std::to_string(r.node);
+      }
+    }
+    Metadata("process_name", pid, 0, name);
+    for (const auto& [node, track] : tracks) {
+      Metadata("thread_name", pid, node, track);
+    }
+  }
+
+  /// One record: "X" for a complete span, "b"/"e" for the halves of a
+  /// cross-process span (paired by flow id), "i" for everything else.
+  void Event(const TraceRecord& r, int64_t ts, int64_t dur, int64_t pid,
+             std::string_view extra_args);
+
+  std::string Finish();
+
+ private:
+  void Metadata(const char* what, int64_t pid, NodeId tid,
+                std::string_view name);
+  void Separate();
+
+  std::string out_;
+  bool first_ = true;
+};
+
+/// The key names of one JSONL dialect: a ring's log stamps ticks and
+/// carries each record's instance and step; a merged log stamps µs.
+struct JsonlKeys {
+  const char* ts;
+  const char* dur;
+  bool instance_and_step;
+};
+inline constexpr JsonlKeys kRingJsonl{"t", "dur", true};
+inline constexpr JsonlKeys kMergedJsonl{"ts_us", "dur_us", false};
+
+/// Appends one record as a JSONL line.
+void AppendJsonlLine(std::string* out, const TraceRecord& r, int64_t ts,
+                     int64_t dur, std::string_view extra_args,
+                     const JsonlKeys& keys);
+
 /// Sink interface. The base class IS the null sink: `enabled()` is false
 /// and `Record` drops everything, so instrumentation sites pay one
 /// virtual-free bool check when tracing is off. Helpers (Begin/End/...)

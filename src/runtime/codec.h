@@ -3,14 +3,14 @@
 
 #include <string_view>
 
-#include "common/value.h"
+#include "common/binio.h"
 #include "rules/token.h"
-#include "runtime/binio.h"
 
 namespace crew::runtime {
 
 /// The binary wire codec: every typed payload (runtime/packet.h,
-/// runtime/wire.h) is [kBinaryMagic][BinMsgId][fields]. Parse() rejects
+/// runtime/wire.h), and every trace-shard file (net/trace_merge.h), is
+/// [kBinaryMagic][BinMsgId][fields]. Parse() rejects
 /// any payload that does not open with the magic, or whose id names
 /// another type. See DESIGN.md §5i for the field layouts.
 inline constexpr unsigned char kBinaryMagic = 0xC2;
@@ -41,6 +41,7 @@ enum class BinMsgId : uint8_t {
   kRunProgram = 20,
   kRunProgramReply = 21,
   kPurgeInstances = 22,
+  kTraceShard = 23,  ///< a trace-shard file (net/trace_merge.h)
 };
 
 /// What Parse() demands of one field in a message's field list
@@ -50,84 +51,6 @@ enum FieldRule : uint8_t {
   kRequired,  ///< Parse rejects a payload without it
   kNonEmpty,  ///< Parse rejects it absent or empty
 };
-
-// ---- Value as a binary composite: [kind byte][payload] ----
-// Kinds: 0 null, 1 false, 2 true, 3 int (zigzag varint), 4 double
-// (fixed64), 5 string (length-prefixed bytes).
-
-inline size_t ValueBound(const Value& v) {
-  switch (v.kind()) {
-    case Value::Kind::kNull:
-    case Value::Kind::kBool:
-      return 1;
-    case Value::Kind::kInt:
-      return 1 + kMaxVarintBytes;
-    case Value::Kind::kDouble:
-      return 1 + 8;
-    case Value::Kind::kString:
-      return 1 + BytesBound(v.AsString());
-  }
-  return 1;
-}
-
-inline void WriteValue(BinWriter& w, const Value& v) {
-  switch (v.kind()) {
-    case Value::Kind::kNull:
-      w.U8(0);
-      break;
-    case Value::Kind::kBool:
-      w.U8(v.AsBool() ? 2 : 1);
-      break;
-    case Value::Kind::kInt:
-      w.U8(3);
-      w.Zig(v.AsInt());
-      break;
-    case Value::Kind::kDouble:
-      w.U8(4);
-      w.F64(v.AsDouble());
-      break;
-    case Value::Kind::kString:
-      w.U8(5);
-      w.Bytes(v.AsString());
-      break;
-  }
-}
-
-inline bool ReadValue(BinReader& r, Value* out) {
-  uint8_t kind;
-  if (!r.U8(&kind)) return false;
-  switch (kind) {
-    case 0:
-      *out = Value();
-      return true;
-    case 1:
-      *out = Value(false);
-      return true;
-    case 2:
-      *out = Value(true);
-      return true;
-    case 3: {
-      int64_t i;
-      if (!r.Zig(&i)) return false;
-      *out = Value(i);
-      return true;
-    }
-    case 4: {
-      double d;
-      if (!r.F64(&d)) return false;
-      *out = Value(d);
-      return true;
-    }
-    case 5: {
-      std::string_view s;
-      if (!r.Bytes(&s)) return false;
-      *out = Value(std::string(s));
-      return true;
-    }
-    default:
-      return false;
-  }
-}
 
 // ---- Wire-type dictionary ----
 // The fixed wi:: message-type names (runtime/wire.h), interned into a

@@ -5,8 +5,10 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/binio.h"
 #include "common/status.h"
 #include "common/value.h"
 
@@ -25,9 +27,16 @@ class Row {
 
   const std::map<std::string, Value>& fields() const { return fields_; }
 
-  /// "field=value;field=value" — values use Value::ToString().
+  /// [count]([name][Value])... in name order, in the binary primitives
+  /// of common/binio.h.
+  size_t EncodedBound() const;
+  void Write(BinWriter& w) const;
+  /// Replaces the fields with the ones read; false on bytes that do not
+  /// decode.
+  bool Read(BinReader& r);
+
   std::string Serialize() const;
-  static Result<Row> Deserialize(const std::string& text);
+  static Result<Row> Deserialize(std::string_view bytes);
 
  private:
   std::map<std::string, Value> fields_;

@@ -72,34 +72,6 @@ TEST(ValueTest, NumericEqualityCrossesKinds) {
   EXPECT_NE(Value(int64_t{3}), Value("3"));
 }
 
-TEST(ValueTest, RoundTripsThroughText) {
-  const Value cases[] = {
-      Value(),        Value(true),          Value(false),
-      Value(int64_t{-17}), Value(3.25),     Value(0.1),
-      Value("plain"), Value("with \"quote\" and \\slash\\"),
-      Value("line\nbreak"), Value(int64_t{0}),
-  };
-  for (const Value& v : cases) {
-    Result<Value> parsed = Value::Parse(v.ToString());
-    ASSERT_TRUE(parsed.ok()) << v.ToString();
-    EXPECT_EQ(parsed.value(), v) << v.ToString();
-    EXPECT_EQ(parsed.value().kind(), v.kind()) << v.ToString();
-  }
-}
-
-TEST(ValueTest, DoubleMarkerDistinguishesFromInt) {
-  Value d(4.0);
-  Result<Value> parsed = Value::Parse(d.ToString());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed.value().is_double());
-}
-
-TEST(ValueTest, ParseRejectsGarbage) {
-  EXPECT_FALSE(Value::Parse("").ok());
-  EXPECT_FALSE(Value::Parse("12abc").ok());
-  EXPECT_FALSE(Value::Parse("\"unterminated").ok());
-}
-
 TEST(InstanceIdTest, OrderingAndFormatting) {
   InstanceId a{"WF1", 3};
   InstanceId b{"WF1", 4};
@@ -139,13 +111,6 @@ TEST(StringsTest, SplitAndJoin) {
             (std::vector<std::string>{"a", "b", "", "c"}));
   EXPECT_EQ(Join({"a", "b", "c"}, ';'), "a;b;c");
   EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
-}
-
-TEST(StringsTest, SplitQuotedHonoursQuotes) {
-  std::vector<std::string> parts = SplitQuoted("x=\"a;b\";y=2", ';');
-  ASSERT_EQ(parts.size(), 2u);
-  EXPECT_EQ(parts[0], "x=\"a;b\"");
-  EXPECT_EQ(parts[1], "y=2");
 }
 
 TEST(StringsTest, TrimAndStartsWith) {

@@ -9,7 +9,6 @@
 #include "model/builder.h"
 #include "runtime/coord.h"
 #include "runtime/instance.h"
-#include "runtime/kv.h"
 #include "runtime/ocr.h"
 #include "runtime/packet.h"
 #include "runtime/programs.h"
@@ -32,25 +31,6 @@ model::CompiledSchemaPtr CompileSeq3() {
   auto compiled = model::CompiledSchema::Compile(std::move(schema).value());
   EXPECT_TRUE(compiled.ok());
   return compiled.value();
-}
-
-TEST(KvTest, WriterReaderRoundTrip) {
-  KvWriter w;
-  w.Add("name", "value").AddInt("count", -3).AddValue("v", Value(2.5));
-  w.Add("name", "second");
-  Result<KvReader> r = KvReader::Parse(w.Finish());
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().Get("name"), "value");
-  EXPECT_EQ(r.value().GetAll("name"),
-            (std::vector<std::string>{"value", "second"}));
-  EXPECT_EQ(r.value().GetInt("count").value(), -3);
-  EXPECT_EQ(r.value().GetValue("v").value(), Value(2.5));
-  EXPECT_FALSE(r.value().GetInt("missing").ok());
-  EXPECT_EQ(r.value().GetIntOr("missing", 9), 9);
-}
-
-TEST(KvTest, RejectsMalformedLine) {
-  EXPECT_FALSE(KvReader::Parse("no equals sign\n").ok());
 }
 
 TEST(PacketTest, SerializeParseRoundTrip) {
