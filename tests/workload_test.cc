@@ -163,10 +163,10 @@ TEST_P(DriverTest, SeedSweepMatchesPinnedFingerprints) {
       {Architecture::kCentral,
        {
            // midpoints, seeds 1-8
-           {95, 5, 0x4d6cf3653e8ad519ull},
+           {95, 5, 0xc97e3b9ef4ec0ec8ull},
            {99, 1, 0x2e9d71e0d5671441ull},
            {96, 4, 0xc500c499b383cf6eull},
-           {96, 4, 0x0dcf84011e2fdc99ull},
+           {96, 4, 0x236a18399d0908d6ull},
            {97, 3, 0x80d412126506b8fbull},
            {98, 2, 0x47e838511f919be4ull},
            {100, 0, 0x2875e1f2af22cc33ull},
@@ -193,14 +193,14 @@ TEST_P(DriverTest, SeedSweepMatchesPinnedFingerprints) {
       {Architecture::kParallel,
        {
            // midpoints, seeds 1-8
-           {95, 5, 0x6e1c4781285f96b3ull},
-           {99, 1, 0x5f43ef032fd2ef3cull},
-           {96, 4, 0xf8ce76855994a707ull},
-           {96, 4, 0xd7f622b9449d06d0ull},
-           {97, 3, 0x68497ac03a28ef58ull},
-           {98, 2, 0x451b4d001d3a1c52ull},
+           {95, 5, 0x3c2f03472b3070c2ull},
+           {99, 1, 0x316156e799387c57ull},
+           {96, 4, 0xc414d1383cf6ed3full},
+           {96, 4, 0xe0c0e15e50eaeecfull},
+           {97, 3, 0xc8c18794d370755eull},
+           {98, 2, 0xafaeea0ee3aed307ull},
            {100, 0, 0xa40195ae88bf26e7ull},
-           {98, 2, 0x049efc7bb326344aull},
+           {98, 2, 0xc8afbbcfe23db6d9ull},
            // me2-pa0.1, seeds 1-8
            {89, 11, 0xeccb1f2ea024e36bull},
            {88, 12, 0x7209b89c62b56d75ull},
