@@ -18,31 +18,31 @@ bool Row::Has(const std::string& field) const {
 
 void Row::Erase(const std::string& field) { fields_.erase(field); }
 
-size_t Row::EncodedBound() const {
+size_t FieldsBound(const std::map<std::string, Value>& fields) {
   size_t n = kMaxVarintBytes;
-  for (const auto& [name, value] : fields_) {
+  for (const auto& [name, value] : fields) {
     n += BytesBound(name) + ValueBound(value);
   }
   return n;
 }
 
-void Row::Write(BinWriter& w) const {
-  w.Varint(fields_.size());
-  for (const auto& [name, value] : fields_) {
+void WriteFields(BinWriter& w, const std::map<std::string, Value>& fields) {
+  w.Varint(fields.size());
+  for (const auto& [name, value] : fields) {
     w.Bytes(name);
     WriteValue(w, value);
   }
 }
 
-bool Row::Read(BinReader& r) {
-  fields_.clear();
+bool ReadFields(BinReader& r, std::map<std::string, Value>* fields) {
+  fields->clear();
   uint64_t count = 0;
   if (!r.Varint(&count)) return false;
   for (uint64_t i = 0; i < count; ++i) {
     std::string_view name;
     Value value;
     if (!r.Bytes(&name) || !ReadValue(r, &value)) return false;
-    fields_[std::string(name)] = std::move(value);
+    (*fields)[std::string(name)] = std::move(value);
   }
   return true;
 }

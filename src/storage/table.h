@@ -14,6 +14,14 @@
 
 namespace crew::storage {
 
+/// A row's encoding for any name->Value map: [count]([name][Value])... in
+/// name order, in the binary primitives of common/binio.h.
+size_t FieldsBound(const std::map<std::string, Value>& fields);
+void WriteFields(BinWriter& w, const std::map<std::string, Value>& fields);
+/// Replaces `*fields` with the ones read; false on bytes that do not
+/// decode.
+bool ReadFields(BinReader& r, std::map<std::string, Value>* fields);
+
 /// One row: named, typed fields. Rows are schemaless — the workflow tables
 /// the paper names (class table, instance table, step table, coordination
 /// instance summary table) are all row sets keyed by a string primary key.
@@ -27,13 +35,10 @@ class Row {
 
   const std::map<std::string, Value>& fields() const { return fields_; }
 
-  /// [count]([name][Value])... in name order, in the binary primitives
-  /// of common/binio.h.
-  size_t EncodedBound() const;
-  void Write(BinWriter& w) const;
-  /// Replaces the fields with the ones read; false on bytes that do not
-  /// decode.
-  bool Read(BinReader& r);
+  /// WriteFields/ReadFields of the row's fields.
+  size_t EncodedBound() const { return FieldsBound(fields_); }
+  void Write(BinWriter& w) const { WriteFields(w, fields_); }
+  bool Read(BinReader& r) { return ReadFields(r, &fields_); }
 
   std::string Serialize() const;
   static Result<Row> Deserialize(std::string_view bytes);
