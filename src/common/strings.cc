@@ -14,15 +14,6 @@ std::vector<std::string> Split(std::string_view text, char sep) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts, char sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view text) {
   size_t b = 0;
   size_t e = text.size();

@@ -10,9 +10,6 @@ namespace crew {
 /// Splits on a single character; keeps empty fields.
 std::vector<std::string> Split(std::string_view text, char sep);
 
-/// Joins with a separator.
-std::string Join(const std::vector<std::string>& parts, char sep);
-
 /// Removes leading and trailing spaces/tabs/CR/LF.
 std::string_view Trim(std::string_view text);
 
