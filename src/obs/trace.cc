@@ -519,11 +519,9 @@ void AppendJsonlLine(std::string* out, const TraceRecord& r, int64_t ts,
   }
   *out += ",\"kind\":\"" + std::string(SpanKindName(r.kind)) +
           "\",\"name\":\"" + JsonEscape(r.name) + "\",\"node\":" +
-          std::to_string(r.node);
-  if (keys.instance_and_step) {
-    *out += ",\"instance\":\"" + JsonEscape(r.instance.ToString()) +
-            "\",\"step\":" + std::to_string(r.step);
-  }
+          std::to_string(r.node) + ",\"instance\":\"" +
+          JsonEscape(r.instance.ToString()) +
+          "\",\"step\":" + std::to_string(r.step);
   *out += ",\"category\":\"" + std::string(TraceCategoryLabel(r.category)) +
           "\"";
   AppendValueAndDetail(out, r);

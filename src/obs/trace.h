@@ -121,15 +121,14 @@ class ChromeTraceWriter {
   bool first_ = true;
 };
 
-/// The key names of one JSONL dialect: a ring's log stamps ticks and
-/// carries each record's instance and step; a merged log stamps µs.
+/// The key names of one JSONL dialect: a ring's log stamps ticks, a
+/// merged log stamps µs.
 struct JsonlKeys {
   const char* ts;
   const char* dur;
-  bool instance_and_step;
 };
-inline constexpr JsonlKeys kRingJsonl{"t", "dur", true};
-inline constexpr JsonlKeys kMergedJsonl{"ts_us", "dur_us", false};
+inline constexpr JsonlKeys kRingJsonl{"t", "dur"};
+inline constexpr JsonlKeys kMergedJsonl{"ts_us", "dur_us"};
 
 /// Appends one record as a JSONL line.
 void AppendJsonlLine(std::string* out, const TraceRecord& r, int64_t ts,

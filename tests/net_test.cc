@@ -765,12 +765,12 @@ constexpr const char* kPinnedMergedChrome =
 ]}
 )pin";
 constexpr const char* kPinnedMergedJsonl =
-    R"pin({"ts_us":0,"endpoint":"unix:/pin/a.sock","incarnation":1,"kind":"ocr","name":"orphan","node":-1,"category":"normal"}
-{"ts_us":100,"endpoint":"unix:/pin/a.sock","incarnation":1,"dur_us":150,"kind":"step","name":"step","node":1,"category":"normal","value":7,"detail":"x\ny"}
-{"ts_us":400,"endpoint":"unix:/pin/a.sock","incarnation":1,"ph":"fb","flow":"0x100000001","kind":"message","name":"msg:RunProgram","node":1,"category":"coordination"}
-{"ts_us":2890,"endpoint":"unix:/pin/b.sock","incarnation":2,"ph":"fe","flow":"0x100000001","kind":"message","name":"msg:RunProgram","node":2,"category":"coordination","value":9}
-{"ts_us":3250,"endpoint":"unix:/pin/b.sock","incarnation":2,"dur_us":0,"kind":"program","name":"program","node":3,"category":"failure-handling"}
-{"ts_us":3270,"endpoint":"unix:/pin/b.sock","incarnation":2,"kind":"coord","name":"ro.block","node":2,"category":"coordination","detail":"tab\there"}
+    R"pin({"ts_us":0,"endpoint":"unix:/pin/a.sock","incarnation":1,"kind":"ocr","name":"orphan","node":-1,"instance":"#0","step":0,"category":"normal"}
+{"ts_us":100,"endpoint":"unix:/pin/a.sock","incarnation":1,"dur_us":150,"kind":"step","name":"step","node":1,"instance":"WF\"q#1","step":2,"category":"normal","value":7,"detail":"x\ny"}
+{"ts_us":400,"endpoint":"unix:/pin/a.sock","incarnation":1,"ph":"fb","flow":"0x100000001","kind":"message","name":"msg:RunProgram","node":1,"instance":"#0","step":0,"category":"coordination"}
+{"ts_us":2890,"endpoint":"unix:/pin/b.sock","incarnation":2,"ph":"fe","flow":"0x100000001","kind":"message","name":"msg:RunProgram","node":2,"instance":"#0","step":0,"category":"coordination","value":9}
+{"ts_us":3250,"endpoint":"unix:/pin/b.sock","incarnation":2,"dur_us":0,"kind":"program","name":"program","node":3,"instance":"WF#4","step":1,"category":"failure-handling"}
+{"ts_us":3270,"endpoint":"unix:/pin/b.sock","incarnation":2,"kind":"coord","name":"ro.block","node":2,"instance":"WF#4","step":3,"category":"coordination","detail":"tab\there"}
 )pin";
 
 TEST(TraceMergeTest, MergedExportBytesArePinned) {
