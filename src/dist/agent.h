@@ -33,7 +33,7 @@ struct AgentOptions {
   /// Pending-rule timeout before the predecessor-failure protocol kicks
   /// in (§5.2), in ticks.
   sim::Time pending_timeout = 40;
-  /// Delay before an aborted instance's purge broadcast (lets in-flight
+  /// Delay before an aborted instance is purged (lets in-flight
   /// compensations land first).
   sim::Time purge_delay = 50;
   /// When true, leader election among eligible successor agents also
@@ -90,6 +90,8 @@ class Agent : public sim::MessageHandler {
   int64_t committed_count() const { return committed_count_; }
   int64_t aborted_count() const { return aborted_count_; }
   size_t live_instances() const { return instances_.size(); }
+  /// Instances coordinated here that have not been purged yet.
+  size_t coordinating_instances() const { return coordinating_.size(); }
   const storage::Database& agdb() const { return agdb_; }
 
  private:
@@ -195,25 +197,27 @@ class Agent : public sim::MessageHandler {
   void CheckPendingRules(const InstanceId& instance);
   void PersistStepRecord(const InstanceId& instance, StepId step);
 
-  /// Rebuilds summary_/counters and the coordinating_ entries of
-  /// still-executing instances from the recovered AGDB tables.
-  /// Idempotent (skips instances already in summary_), so it runs after
-  /// every RegisterSchema — an executing instance can only be rebuilt
-  /// once its schema is known — and again after RecoverFromLog.
+  /// Rebuilds the archive records, counters and the coordinating_
+  /// entries of still-executing instances from the recovered AGDB
+  /// tables. Idempotent (skips instances already coordinated or
+  /// archived), so it runs after every RegisterSchema — an executing
+  /// instance can only be rebuilt once its schema is known — and again
+  /// after RecoverFromLog.
   void RebuildFromAgdb();
 
   // ---- coordination-agent machinery ----
   void MaybeCommit(const InstanceId& instance);
   /// Sends PurgeInstances to PurgeTargets(instance) and purges locally.
-  void BroadcastPurge(const InstanceId& instance);
+  void Purge(const InstanceId& instance);
   /// Agents a purge of `instance` must reach: its eligibility footprint
   /// (union of eligible agents over every schema step — executors,
   /// coordinator, arbiters and RO registration sites all live there).
   std::vector<NodeId> PurgeTargets(const InstanceId& instance);
   /// Drops this agent's state for an ended instance: marks it ended,
   /// hands every mutual-exclusion grant it still holds back to the
-  /// arbiter, erases the replica, and resolves RO registrations parked
-  /// on it.
+  /// arbiter, erases the replica and its AGDB step rows, retires the
+  /// coordination entry into its archive record (deleting its
+  /// coord_groups rows), and resolves RO registrations parked on it.
   void PurgeLocal(const InstanceId& instance);
   NodeId CoordinationAgentOf(const AgentInstance& inst) const;
   /// Where `step` of `instance` ran (so where its compensation or
@@ -236,10 +240,19 @@ class Agent : public sim::MessageHandler {
 
   std::map<std::string, model::CompiledSchemaPtr> schemas_;
   std::map<InstanceId, std::unique_ptr<AgentInstance>> instances_;
+  /// Instances coordinated here, from WorkflowStart to their purge.
   std::map<InstanceId, CoordInstance> coordinating_;
-  /// Coordination instance summary table (kept after purge).
-  std::map<InstanceId, runtime::WorkflowState> summary_;
-  std::map<InstanceId, std::map<std::string, Value>> archived_;
+
+  /// What stays of a purged coordinated instance: its final status, the
+  /// address a late WorkflowAbort is answered at, and the results of a
+  /// commit, encoded by storage::WriteFields. Records rebuilt from
+  /// coord_summary carry the status only.
+  struct ArchiveRecord {
+    runtime::WorkflowState status = runtime::WorkflowState::kUnknown;
+    NodeId reply_to = kInvalidNode;
+    std::string results;
+  };
+  std::map<InstanceId, ArchiveRecord> archive_;
 
   /// RO registrations received via AddRule: (instance, step) -> list of
   /// (registrant agent, token to deliver).

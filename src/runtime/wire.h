@@ -40,8 +40,9 @@ inline constexpr char kAddPrecondition[] = "AddPrecondition";
 /// agent and return the outcome.
 inline constexpr char kRunProgram[] = "RunProgram";
 inline constexpr char kRunProgramReply[] = "RunProgramReply";
-/// Coordination-agent broadcast after commit so agents purge instance
-/// tables (§4.2 end).
+/// Sent by the coordination agent when an instance commits or aborts,
+/// to the agents eligible for one of its steps, so each drops its state
+/// for the instance (§4.2 end).
 inline constexpr char kPurgeInstances[] = "PurgeInstances";
 }  // namespace wi
 
