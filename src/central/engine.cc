@@ -7,7 +7,6 @@
 #include "common/binio.h"
 #include "common/logging.h"
 #include "rules/event.h"
-#include "runtime/rulegen.h"
 #include "runtime/wire.h"
 
 namespace crew::central {
@@ -66,24 +65,17 @@ const WorkflowEngine::Instance* WorkflowEngine::Find(
   return it == instances_.end() ? nullptr : it->second.get();
 }
 
-sim::MsgCategory WorkflowEngine::CategoryFor(Mode mode) const {
+sim::LoadCategory WorkflowEngine::LoadFor(sim::MsgCategory mode) const {
   switch (mode) {
-    case Mode::kNormal: return sim::MsgCategory::kNormal;
-    case Mode::kFailure: return sim::MsgCategory::kFailureHandling;
-    case Mode::kInputChange: return sim::MsgCategory::kInputChange;
-    case Mode::kAbort: return sim::MsgCategory::kAbort;
+    case sim::MsgCategory::kFailureHandling:
+      return sim::LoadCategory::kFailureHandling;
+    case sim::MsgCategory::kInputChange:
+      return sim::LoadCategory::kInputChange;
+    case sim::MsgCategory::kAbort:
+      return sim::LoadCategory::kAbort;
+    default:
+      return sim::LoadCategory::kNavigation;
   }
-  return sim::MsgCategory::kNormal;
-}
-
-sim::LoadCategory WorkflowEngine::LoadFor(Mode mode) const {
-  switch (mode) {
-    case Mode::kNormal: return sim::LoadCategory::kNavigation;
-    case Mode::kFailure: return sim::LoadCategory::kFailureHandling;
-    case Mode::kInputChange: return sim::LoadCategory::kInputChange;
-    case Mode::kAbort: return sim::LoadCategory::kAbort;
-  }
-  return sim::LoadCategory::kNavigation;
 }
 
 void WorkflowEngine::PersistInstanceStatus(const Instance& inst) {
@@ -107,14 +99,9 @@ Status WorkflowEngine::StartWorkflow(const std::string& workflow,
   }
 
   auto inst = std::make_unique<Instance>();
-  inst->schema = schema_it->second;
-  inst->state = runtime::InstanceState(id, inst->schema);
+  inst->state = runtime::InstanceState(id, schema_it->second);
   for (auto& [name, value] : inputs) {
     inst->state.SetData(name, std::move(value));
-  }
-  for (rules::Rule& rule : runtime::MakeAllRules(*inst->schema)) {
-    Status added = inst->rules.AddRule(std::move(rule));
-    if (!added.ok()) return added;
   }
 
   Instance* raw = inst.get();
@@ -130,7 +117,7 @@ Status WorkflowEngine::StartWorkflow(const std::string& workflow,
 
   ApplyRoBindings(raw);
 
-  raw->state.PostEvent(rules::event::WorkflowStartToken(), &raw->rules);
+  raw->state.PostEvent(rules::event::WorkflowStartToken());
   Pump(raw);
   return Status::OK();
 }
@@ -142,16 +129,8 @@ void WorkflowEngine::ApplyRoBindings(Instance* inst) {
     for (const auto& [lead_step, lag_step] : binding.step_pairs) {
       rules::EventToken token =
           rules::event::RelativeOrderToken(binding.leading, lead_step);
-      // Guard every rule that can fire the lagging step; the rule ids are
-      // regenerated deterministically from the schema.
-      bool guarded = false;
-      for (const rules::Rule& rule :
-           runtime::MakeStepRules(*inst->schema, lag_step)) {
-        if (inst->rules.AddPrecondition(rule.id, token).ok()) {
-          guarded = true;
-        }
-      }
-      if (!guarded) {
+      // Guard every rule that can fire the lagging step.
+      if (!inst->state.GateStep(lag_step, token)) {
         CREW_LOG(Warn) << "RO binding found no rules for step S" << lag_step
                        << " of " << inst->state.id().ToString();
       }
@@ -199,14 +178,10 @@ void WorkflowEngine::DeliverCoordinationEvent(const InstanceId& instance,
   // or compensating-after-abort one drops the event, uncharged.
   Instance* inst = Find(instance);
   if (inst == nullptr || inst->status != WorkflowState::kExecuting) return;
-  // Coordination tokens are one-shot; duplicates must not re-fire rules.
-  if (inst->state.EventValid(event_token)) return;
-  obs::Tracer& tr = ctx_->tracer();
-  if (tr.enabled()) {
-    tr.End(obs::SpanKind::kCoord, id_, instance, kInvalidStep,
-           "ro.wait:" + rules::TokenNameStr(event_token));
+  if (!runtime::DeliverOrderToken(ctx_->tracer(), id_, &inst->state,
+                                  event_token)) {
+    return;
   }
-  inst->state.PostEvent(event_token, &inst->rules);
   ctx_->metrics().AddLoad(id_, sim::LoadCategory::kCoordination,
                                 options_.navigation_load);
   Pump(inst);
@@ -272,7 +247,7 @@ void WorkflowEngine::LockReleaseLocal(const std::string& resource,
                                 options_.navigation_load);
   if (next.node == id_) {
     Instance* waiter = Find(next.instance);
-    waiter->me.Grant(next.step, resource);
+    waiter->state.me().Grant(next.step, resource);
     StartStep(waiter, next.step);
   } else if (next.node != kInvalidNode) {
     // Remote waiter: the lock is its; notify its engine.
@@ -288,18 +263,18 @@ bool WorkflowEngine::AcquireMutexes(Instance* inst, StepId step) {
        coordination_->MutexesOf(id.workflow, step)) {
     ctx_->metrics().AddLoad(id_, sim::LoadCategory::kCoordination,
                                   options_.navigation_load);
-    if (inst->me.Granted(step, req->resource)) continue;
+    if (inst->state.me().Granted(step, req->resource)) continue;
     NodeId owner = LockOwner(req->resource);
     if (owner == id_) {
       if (locks_.Acquire(req->resource, {id, step, id_}) ==
           runtime::MutexTable::Acquired::kQueued) {
         return false;  // resumed by LockReleaseLocal
       }
-      inst->me.Grant(step, req->resource);
+      inst->state.me().Grant(step, req->resource);
       continue;
     }
     // Remote arbitration: request the lock from the owner engine.
-    if (inst->me.Request(step, req->resource)) {
+    if (inst->state.me().Request(step, req->resource)) {
       SendEngineMessage(owner, runtime::wi::kAddRule,
                         runtime::EncodeMeRequest(
                             runtime::MeRequestKind::kAcquire, id,
@@ -314,7 +289,7 @@ void WorkflowEngine::ReleaseMutexes(Instance* inst, StepId step) {
   const InstanceId& id = inst->state.id();
   for (const runtime::MutexReq* req :
        coordination_->MutexesOf(id.workflow, step)) {
-    if (!inst->me.Release(step, req->resource)) continue;
+    if (!inst->state.me().Release(step, req->resource)) continue;
     NodeId owner = LockOwner(req->resource);
     if (owner == id_) {
       LockReleaseLocal(req->resource, id, step);
@@ -331,7 +306,7 @@ void WorkflowEngine::Pump(Instance* inst) {
   bool progressed = true;
   while (progressed && inst->status == WorkflowState::kExecuting) {
     progressed = false;
-    for (StepId step : inst->state.FireableSteps(&inst->rules)) {
+    for (StepId step : inst->state.FireableSteps()) {
       progressed = true;
       StartStep(inst, step);
     }
@@ -340,53 +315,21 @@ void WorkflowEngine::Pump(Instance* inst) {
 
 void WorkflowEngine::StartStep(Instance* inst, StepId step) {
   if (inst->status != WorkflowState::kExecuting) return;
-  StepRecord& record = inst->state.step_record(step);
-  if (record.in_flight || inst->starting.count(step)) return;
-  inst->starting.insert(step);
-
-  const model::Step& spec = inst->schema->schema().step(step);
-  ctx_->metrics().AddLoad(id_, LoadFor(inst->mode),
-                                options_.navigation_load);
-
-  // Step lifecycle span opens at scheduling time (first Begin wins, so a
-  // lock-blocked re-entry keeps the original start and the span covers
-  // the full wait).
   obs::Tracer& tr = ctx_->tracer();
-  if (tr.enabled()) {
-    tr.Begin(obs::SpanKind::kStep, id_, inst->state.id(), step, "step",
-             static_cast<int>(CategoryFor(inst->mode)));
-  }
-
-  if (!AcquireMutexes(inst, step)) {
-    // Blocked on a mutual-exclusion resource; resumed by ReleaseMutexes.
-    // Leave `starting` set so duplicate fires stay suppressed; clear it
-    // so the resume path can re-enter.
-    if (tr.enabled()) {
-      tr.Begin(obs::SpanKind::kCoord, id_, inst->state.id(), step,
-               "mutex.wait",
-               static_cast<int>(sim::MsgCategory::kCoordination));
-    }
-    inst->starting.erase(step);
+  if (!runtime::BeginStep(tr, id_, &inst->state, step)) return;
+  ctx_->metrics().AddLoad(id_, LoadFor(inst->state.mode()),
+                                options_.navigation_load);
+  // Blocked on a mutual-exclusion resource: resumed by its release.
+  if (!runtime::PassMutexGate(tr, id_, &inst->state, step,
+                              AcquireMutexes(inst, step))) {
     return;
   }
-  if (tr.enabled()) {
-    // Closes the wait span if this entry was a lock-grant resume; a
-    // never-blocked step has no open span and the End is dropped.
-    tr.End(obs::SpanKind::kCoord, id_, inst->state.id(), step,
-           "mutex.wait");
-  }
-
-  runtime::OcrPlan plan = runtime::PlanOcr(spec, inst->state);
-  if (tr.enabled()) {
-    tr.Instant(obs::SpanKind::kOcr, id_, inst->state.id(), step,
-               std::string("ocr.") + runtime::OcrDecisionName(plan.decision),
-               0, {}, static_cast<int>(sim::MsgCategory::kFailureHandling));
-  }
+  const model::CompiledSchema& schema = *inst->state.schema();
+  runtime::OcrPlan plan =
+      runtime::PlanStep(tr, id_, &inst->state, schema.schema().step(step));
   if (plan.decision == runtime::OcrDecision::kReuse) {
     // Previous results suffice: emit step.done without re-executing (the
     // OCR saving). Outputs are already in the data table.
-    inst->starting.erase(step);
-    record.epoch = inst->state.epoch();
     OnStepDone(inst, step, /*reused=*/true);
     return;
   }
@@ -396,15 +339,15 @@ void WorkflowEngine::StartStep(Instance* inst, StepId step) {
   }
   // Compensation dependent sets: members executed after this step must be
   // compensated first, in reverse execution order (§3).
+  const int64_t exec_seq = inst->state.step_record(step).exec_seq;
   std::vector<StepId> chain;
-  for (int set_index : inst->schema->comp_dep_sets_of(step)) {
-    const model::CompDepSet& set =
-        inst->schema->schema().comp_dep_sets()[set_index];
+  for (int set_index : schema.comp_dep_sets_of(step)) {
+    const model::CompDepSet& set = schema.schema().comp_dep_sets()[set_index];
     for (StepId member : set.steps) {
       if (member == step) continue;
       const StepRecord* other = inst->state.FindStepRecord(member);
       if (other != nullptr && other->state == StepRunState::kDone &&
-          other->exec_seq > record.exec_seq) {
+          other->exec_seq > exec_seq) {
         chain.push_back(member);
       }
     }
@@ -424,9 +367,9 @@ void WorkflowEngine::StartStep(Instance* inst, StepId step) {
 
 void WorkflowEngine::DispatchProgram(Instance* inst, StepId step,
                                      double cost_fraction) {
-  const model::Step& spec = inst->schema->schema().step(step);
+  const model::Step& spec = inst->state.schema()->schema().step(step);
   StepRecord& record = inst->state.step_record(step);
-  inst->starting.erase(step);
+  inst->state.EndStart(step);
   if (record.in_flight) return;  // already dispatched (barrier/rule race)
   record.in_flight = true;
   record.attempts += 1;
@@ -479,7 +422,7 @@ void WorkflowEngine::DispatchProgram(Instance* inst, StepId step,
   // first execution is normal scheduling even if it happens after a
   // rollback moved the instance past the old failure frontier.
   sim::MsgCategory category = record.attempts > 1
-                                  ? CategoryFor(inst->mode)
+                                  ? inst->state.mode()
                                   : sim::MsgCategory::kNormal;
   obs::Tracer& tr = ctx_->tracer();
   if (tr.enabled()) {
@@ -539,7 +482,7 @@ void WorkflowEngine::RunCompQueue(Instance* inst) {
 }
 
 void WorkflowEngine::DispatchCompensation(Instance* inst, StepId step) {
-  const model::Step& spec = inst->schema->schema().step(step);
+  const model::Step& spec = inst->state.schema()->schema().step(step);
   StepRecord& record = inst->state.step_record(step);
 
   runtime::RunProgramMsg msg;
@@ -562,16 +505,16 @@ void WorkflowEngine::DispatchCompensation(Instance* inst, StepId step) {
                                               step)
                             .front();
   msg.designated = target;
-  ctx_->metrics().AddLoad(id_, LoadFor(inst->mode),
+  ctx_->metrics().AddLoad(id_, LoadFor(inst->state.mode()),
                                 options_.navigation_load);
   obs::Tracer& tr = ctx_->tracer();
   if (tr.enabled()) {
     tr.Begin(obs::SpanKind::kOcr, id_, inst->state.id(), step, "compensate",
-             static_cast<int>(CategoryFor(inst->mode)),
+             static_cast<int>(inst->state.mode()),
              "agent=" + std::to_string(target));
   }
   sim::Message out{id_, target, runtime::wi::kRunProgram, msg.Serialize(),
-                   CategoryFor(inst->mode)};
+                   inst->state.mode()};
   (void)ctx_->network().Send(std::move(out));
 }
 
@@ -603,7 +546,8 @@ void WorkflowEngine::HandleMessage(const sim::Message& message) {
     if (msg.ok()) {
       Instance* inst = Find(msg.value().instance);
       if (inst != nullptr && inst->status == WorkflowState::kExecuting) {
-        Rollback(inst, msg.value().origin_step, Mode::kFailure,
+        Rollback(inst, msg.value().origin_step,
+                 sim::MsgCategory::kFailureHandling,
                  /*rd_induced=*/true);
       }
     }
@@ -657,7 +601,7 @@ void WorkflowEngine::OnCoordinationMessage(const sim::Message& message) {
                             grant->resource, grant->step, id_));
       return;
     }
-    inst->me.Grant(grant->step, grant->resource);
+    inst->state.me().Grant(grant->step, grant->resource);
     StartStep(inst, grant->step);
     return;
   }
@@ -728,24 +672,7 @@ void WorkflowEngine::OnProgramReply(
 }
 
 void WorkflowEngine::OnStepDone(Instance* inst, StepId step, bool reused) {
-  obs::Tracer& tr = ctx_->tracer();
-  if (tr.enabled()) {
-    if (reused) {
-      tr.Instant(obs::SpanKind::kOcr, id_, inst->state.id(), step,
-                 "ocr.result-reused", 0, {},
-                 static_cast<int>(sim::MsgCategory::kFailureHandling));
-    }
-    tr.End(obs::SpanKind::kStep, id_, inst->state.id(), step, "step", 0,
-           reused ? "reused" : "done");
-  }
-  inst->state.PostEvent(rules::event::StepDoneToken(step), &inst->rules);
-
-  // A first-attempt completion means recovery has passed the re-executed
-  // region: subsequent work is normal execution again.
-  const StepRecord* record = inst->state.FindStepRecord(step);
-  if (!reused && record != nullptr && record->attempts <= 1) {
-    inst->mode = Mode::kNormal;
-  }
+  runtime::StepDone(ctx_->tracer(), id_, &inst->state, step, reused);
 
   ReleaseMutexes(inst, step);
   NotifyRoWatchers(inst, step);
@@ -756,14 +683,15 @@ void WorkflowEngine::OnStepDone(Instance* inst, StepId step, bool reused) {
                             options_.navigation_load * n);
   }
 
-  if (inst->schema->is_choice_split(step)) {
+  const model::CompiledSchema& schema = *inst->state.schema();
+  if (schema.is_choice_split(step)) {
     HandleBranchSwitch(inst, step);
   }
 
   // Commit check: every terminal group has a valid done event.
-  if (inst->schema->terminal_group_of(step) >= 0) {
+  if (schema.terminal_group_of(step) >= 0) {
     bool all_groups = true;
-    for (const auto& group : inst->schema->schema().terminal_groups()) {
+    for (const auto& group : schema.schema().terminal_groups()) {
       bool any = false;
       for (StepId member : group) {
         if (inst->state.EventValid(rules::event::StepDoneToken(member))) {
@@ -790,9 +718,10 @@ void WorkflowEngine::HandleBranchSwitch(Instance* inst, StepId split_step) {
   if (old_entry == kInvalidStep) return;
   // Branch switch: compensate the steps that only lie on the old branch
   // (downstream of old entry but not of the new entry), §5.2.
+  const model::CompiledSchema& schema = *inst->state.schema();
   std::vector<StepId> to_comp;
-  for (StepId candidate : inst->schema->downstream_including(old_entry)) {
-    if (inst->schema->IsDownstream(chosen, candidate)) continue;
+  for (StepId candidate : schema.downstream_including(old_entry)) {
+    if (schema.IsDownstream(chosen, candidate)) continue;
     const StepRecord* record = inst->state.FindStepRecord(candidate);
     if (record != nullptr && record->state == StepRunState::kDone) {
       to_comp.push_back(candidate);
@@ -803,26 +732,19 @@ void WorkflowEngine::HandleBranchSwitch(Instance* inst, StepId split_step) {
 }
 
 void WorkflowEngine::OnStepFailed(Instance* inst, StepId step) {
-  obs::Tracer& tr = ctx_->tracer();
-  if (tr.enabled()) {
-    tr.End(obs::SpanKind::kStep, id_, inst->state.id(), step, "step",
-           static_cast<int>(sim::MsgCategory::kFailureHandling), "failed");
-    tr.Instant(obs::SpanKind::kOcr, id_, inst->state.id(), step,
-               "step.failed", inst->state.step_record(step).attempts, {},
-               static_cast<int>(sim::MsgCategory::kFailureHandling));
-  }
-  bool give_up = inst->state.RecordFailure(step, &inst->rules);
+  bool give_up = runtime::StepFailed(ctx_->tracer(), id_, &inst->state, step);
   ReleaseMutexes(inst, step);
   if (give_up) {
     DoAbort(inst);
     return;
   }
-  Rollback(inst, inst->schema->schema().step(step).failure.rollback_to,
-           Mode::kFailure);
+  Rollback(inst,
+           inst->state.schema()->schema().step(step).failure.rollback_to,
+           sim::MsgCategory::kFailureHandling);
 }
 
-void WorkflowEngine::Rollback(Instance* inst, StepId origin, Mode mode,
-                              bool rd_induced) {
+void WorkflowEngine::Rollback(Instance* inst, StepId origin,
+                              sim::MsgCategory mode, bool rd_induced) {
   if (rd_induced && inst->last_rollback_origin != kInvalidStep &&
       origin >= inst->last_rollback_origin &&
       inst->state.exec_seq() == inst->last_rollback_seq) {
@@ -832,14 +754,13 @@ void WorkflowEngine::Rollback(Instance* inst, StepId origin, Mode mode,
   }
   inst->last_rollback_origin = origin;
   inst->last_rollback_seq = inst->state.exec_seq();
-  inst->mode = mode;
+  inst->state.set_mode(mode);
   int64_t new_epoch = inst->state.epoch() + 1;
   inst->state.set_epoch(new_epoch);
 
   // Steps in flight under the old epoch are void; their replies will be
   // dropped by the epoch check.
-  int64_t touched_steps = inst->state.ResetDownstream(
-      origin, new_epoch, &inst->rules, &inst->starting);
+  int64_t touched_steps = inst->state.ResetDownstream(origin, new_epoch);
   if (touched_steps > 0) {
     ctx_->metrics().AddLoad(id_, LoadFor(mode),
                             touched_steps * options_.navigation_load);
@@ -851,7 +772,7 @@ void WorkflowEngine::Rollback(Instance* inst, StepId origin, Mode mode,
                std::string("origin=S") + std::to_string(origin) +
                    (rd_induced ? " rd-induced" : "") + " epoch=" +
                    std::to_string(new_epoch),
-               static_cast<int>(CategoryFor(mode)));
+               static_cast<int>(mode));
   }
 
   // Rollback dependencies: dependent instances roll back too (§3).
@@ -869,7 +790,8 @@ void WorkflowEngine::Rollback(Instance* inst, StepId origin, Mode mode,
     }
     Instance* dep = Find(dependent);
     if (dep != nullptr && dep->status == WorkflowState::kExecuting) {
-      Rollback(dep, to_step, Mode::kFailure, /*rd_induced=*/true);
+      Rollback(dep, to_step, sim::MsgCategory::kFailureHandling,
+               /*rd_induced=*/true);
     } else if (topology_ != nullptr) {
       runtime::WorkflowRollbackMsg remote;
       remote.instance = dependent;
@@ -889,17 +811,16 @@ void WorkflowEngine::OnCompensated(Instance* inst, StepId step) {
   if (tr.enabled()) {
     tr.End(obs::SpanKind::kOcr, id_, inst->state.id(), step, "compensate");
   }
-  StepRecord& record = inst->state.step_record(step);
-  record.state = StepRunState::kCompensated;
-  inst->state.PostEvent(rules::event::StepCompensatedToken(step),
-                        &inst->rules);
+  inst->state.RecordCompensated(step);
   inst->comp_running = false;
   RunCompQueue(inst);
   if (inst->status == WorkflowState::kExecuting) Pump(inst);
 }
 
 void WorkflowEngine::ResolveCoordinationAtEnd(Instance* inst) {
-  for (StepId step : inst->me.GrantedSteps()) ReleaseMutexes(inst, step);
+  for (StepId step : inst->state.me().GrantedSteps()) {
+    ReleaseMutexes(inst, step);
+  }
   ReleaseWatchesOn(&ro_watch_, inst->state.id());
 }
 
@@ -982,11 +903,11 @@ void WorkflowEngine::DoAbort(Instance* inst) {
            "instance", static_cast<int>(sim::MsgCategory::kAbort),
            "aborted");
   }
-  inst->mode = Mode::kAbort;
+  inst->state.set_mode(sim::MsgCategory::kAbort);
   inst->status = WorkflowState::kAborted;
   PersistInstanceStatus(*inst);
   BroadcastCoordination(inst, "coord.end");
-  inst->state.PostEvent(rules::event::WorkflowAbortToken(), &inst->rules);
+  inst->state.PostEvent(rules::event::WorkflowAbortToken());
 
   // Quiesce: bump the epoch so in-flight replies become stale.
   inst->state.set_epoch(inst->state.epoch() + 1);
@@ -995,10 +916,10 @@ void WorkflowEngine::DoAbort(Instance* inst) {
   ResolveCoordinationAtEnd(inst);
 
   // Compensate executed steps marked compensate_on_abort, reverse order.
+  const model::Schema& schema = inst->state.schema()->schema();
   std::vector<StepId> to_comp;
-  for (StepId step = 1; step <= inst->schema->schema().num_steps();
-       ++step) {
-    if (!inst->schema->schema().step(step).compensate_on_abort) continue;
+  for (StepId step = 1; step <= schema.num_steps(); ++step) {
+    if (!schema.step(step).compensate_on_abort) continue;
     const StepRecord* record = inst->state.FindStepRecord(step);
     if (record != nullptr && record->state == StepRunState::kDone) {
       to_comp.push_back(step);
@@ -1044,8 +965,8 @@ Status WorkflowEngine::ChangeInputs(const InstanceId& instance,
   if (changed.empty()) return Status::OK();
 
   StepId origin = kInvalidStep;
-  for (StepId step : inst->schema->topo_order()) {
-    const model::Step& spec = inst->schema->schema().step(step);
+  for (StepId step : inst->state.schema()->topo_order()) {
+    const model::Step& spec = inst->state.schema()->schema().step(step);
     bool affected = false;
     for (const std::string& input : spec.inputs) {
       if (changed.count(input)) {
@@ -1066,7 +987,7 @@ Status WorkflowEngine::ChangeInputs(const InstanceId& instance,
   }
   if (origin == kInvalidStep) return Status::OK();
 
-  Rollback(inst, origin, Mode::kInputChange);
+  Rollback(inst, origin, sim::MsgCategory::kInputChange);
   return Status::OK();
 }
 

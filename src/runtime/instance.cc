@@ -2,10 +2,18 @@
 
 #include <algorithm>
 
-#include "rules/engine.h"
 #include "rules/event.h"
+#include "runtime/rulegen.h"
 
 namespace crew::runtime {
+
+InstanceState::InstanceState(InstanceId id, model::CompiledSchemaPtr schema)
+    : id_(std::move(id)), schema_(std::move(schema)) {
+  // Generated rule ids are unique per schema, so no AddRule fails.
+  for (rules::Rule& rule : MakeAllRules(*schema_)) {
+    (void)rules_.AddRule(std::move(rule));
+  }
+}
 
 void InstanceState::SetData(const std::string& item, Value value) {
   data_[item] = std::move(value);
@@ -88,10 +96,9 @@ std::vector<rules::EventToken> InstanceState::InvalidateDownstream(
   return invalidated;
 }
 
-std::vector<StepId> InstanceState::FireableSteps(
-    rules::RuleEngine* rules) const {
+std::vector<StepId> InstanceState::FireableSteps() {
   std::vector<StepId> steps;
-  for (const rules::RuleAction& action : rules->CollectFireable(DataEnv())) {
+  for (const rules::RuleAction& action : rules_.CollectFireable(DataEnv())) {
     if (action.kind == rules::ActionKind::kExecuteStep &&
         std::find(steps.begin(), steps.end(), action.step) == steps.end()) {
       steps.push_back(action.step);
@@ -100,20 +107,17 @@ std::vector<StepId> InstanceState::FireableSteps(
   return steps;
 }
 
-void InstanceState::PostEvent(rules::EventToken token,
-                              rules::RuleEngine* rules) {
+void InstanceState::PostEvent(rules::EventToken token) {
   PostLocalEvent(token);
-  rules->Post(token);
+  rules_.Post(token);
 }
 
-int64_t InstanceState::ResetDownstream(StepId origin, int64_t new_epoch,
-                                       rules::RuleEngine* rules,
-                                       std::set<StepId>* starting) {
+int64_t InstanceState::ResetDownstream(StepId origin, int64_t new_epoch) {
   for (rules::EventToken token : InvalidateDownstream(origin, new_epoch)) {
-    rules->Invalidate(token);
+    rules_.Invalidate(token);
   }
   const model::CompiledSchema* schema = schema_.get();
-  rules->ResetFiringIf([schema, origin](const rules::Rule& rule) {
+  rules_.ResetFiringIf([schema, origin](const rules::Rule& rule) {
     return rule.action.kind == rules::ActionKind::kExecuteStep &&
            schema->IsDownstream(origin, rule.action.step);
   });
@@ -125,9 +129,27 @@ int64_t InstanceState::ResetDownstream(StepId origin, int64_t new_epoch,
       ++touched;
     }
     record.in_flight = false;
-    starting->erase(step);
+    starting_.erase(step);
   }
   return touched;
+}
+
+bool InstanceState::GateStep(StepId step, rules::EventToken token) {
+  // The rule ids are regenerated deterministically from the schema.
+  bool guarded = false;
+  for (const rules::Rule& rule : MakeStepRules(*schema_, step)) {
+    if (rules_.AddPrecondition(rule.id, token).ok()) guarded = true;
+  }
+  return guarded;
+}
+
+bool InstanceState::TryStart(StepId step) {
+  return !steps_[step].in_flight && starting_.insert(step).second;
+}
+
+void InstanceState::RecordCompensated(StepId step) {
+  steps_[step].state = StepRunState::kCompensated;
+  PostEvent(rules::event::StepCompensatedToken(step));
 }
 
 void InstanceState::RecordSuccess(StepId step, NodeId agent,
@@ -149,8 +171,8 @@ void InstanceState::RecordSuccess(StepId step, NodeId agent,
   SetExecutedBy(step, agent);
 }
 
-bool InstanceState::RecordFailure(StepId step, rules::RuleEngine* rules) {
-  PostEvent(rules::event::StepFailToken(step), rules);
+bool InstanceState::RecordFailure(StepId step) {
+  PostEvent(rules::event::StepFailToken(step));
   const model::FailureSpec& policy = schema_->schema().step(step).failure;
   const StepRecord* record = FindStepRecord(step);
   return (record != nullptr && record->attempts >= policy.max_attempts) ||
@@ -246,6 +268,9 @@ void InstanceState::MergePacket(const WorkflowPacket& packet) {
   if (packet.coordinator != kInvalidNode) {
     set_coordinator(packet.coordinator);
   }
+  for (const EventOcc& event : packet.events) {
+    if (MergeEvent(event)) rules_.Post(event.token);
+  }
 }
 
 WorkflowPacket InstanceState::MakePacket(StepId target_step) const {
@@ -265,6 +290,67 @@ WorkflowPacket InstanceState::MakePacket(StepId target_step) const {
 
 void InstanceState::SetExecutedBy(StepId step, NodeId agent) {
   executed_by_[step] = agent;
+}
+
+bool BeginStep(obs::Tracer& tr, NodeId node, InstanceState* state,
+               StepId step) {
+  if (!state->TryStart(step)) return false;
+  if (tr.enabled()) {
+    tr.Begin(obs::SpanKind::kStep, node, state->id(), step, "step",
+             static_cast<int>(state->mode()));
+  }
+  return true;
+}
+
+bool PassMutexGate(obs::Tracer& tr, NodeId node, InstanceState* state,
+                   StepId step, bool acquired) {
+  if (acquired) {
+    if (tr.enabled()) {
+      tr.End(obs::SpanKind::kCoord, node, state->id(), step, "mutex.wait");
+    }
+    return true;
+  }
+  if (tr.enabled()) {
+    tr.Begin(obs::SpanKind::kCoord, node, state->id(), step, "mutex.wait",
+             static_cast<int>(sim::MsgCategory::kCoordination));
+  }
+  state->EndStart(step);
+  return false;
+}
+
+void StepDone(obs::Tracer& tr, NodeId node, InstanceState* state,
+              StepId step, bool reused) {
+  if (tr.enabled()) {
+    tr.End(obs::SpanKind::kStep, node, state->id(), step, "step", 0,
+           reused ? "reused" : "done");
+  }
+  state->PostEvent(rules::event::StepDoneToken(step));
+  if (!reused && state->step_record(step).attempts <= 1) {
+    state->set_mode(sim::MsgCategory::kNormal);
+  }
+}
+
+bool StepFailed(obs::Tracer& tr, NodeId node, InstanceState* state,
+                StepId step) {
+  if (tr.enabled()) {
+    const int category = static_cast<int>(sim::MsgCategory::kFailureHandling);
+    tr.End(obs::SpanKind::kStep, node, state->id(), step, "step", category,
+           "failed");
+    tr.Instant(obs::SpanKind::kOcr, node, state->id(), step, "step.failed",
+               state->step_record(step).attempts, {}, category);
+  }
+  return state->RecordFailure(step);
+}
+
+bool DeliverOrderToken(obs::Tracer& tr, NodeId node, InstanceState* state,
+                       rules::EventToken token) {
+  if (state->EventValid(token)) return false;
+  if (tr.enabled()) {
+    tr.End(obs::SpanKind::kCoord, node, state->id(), kInvalidStep,
+           "ro.wait:" + rules::TokenNameStr(token));
+  }
+  state->PostEvent(token);
+  return true;
 }
 
 }  // namespace crew::runtime

@@ -59,4 +59,25 @@ OcrPlan PlanOcr(const model::Step& step, const InstanceState& state) {
   return plan;
 }
 
+OcrPlan PlanStep(obs::Tracer& tr, NodeId node, InstanceState* state,
+                 const model::Step& step) {
+  OcrPlan plan = PlanOcr(step, *state);
+  const bool reuse = plan.decision == OcrDecision::kReuse;
+  if (tr.enabled()) {
+    const int category = static_cast<int>(sim::MsgCategory::kFailureHandling);
+    tr.Instant(obs::SpanKind::kOcr, node, state->id(), step.id,
+               std::string("ocr.") + OcrDecisionName(plan.decision), 0, {},
+               category);
+    if (reuse) {
+      tr.Instant(obs::SpanKind::kOcr, node, state->id(), step.id,
+                 "ocr.result-reused", 0, {}, category);
+    }
+  }
+  if (reuse) {
+    state->EndStart(step.id);
+    state->step_record(step.id).epoch = state->epoch();
+  }
+  return plan;
+}
+
 }  // namespace crew::runtime

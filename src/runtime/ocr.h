@@ -2,6 +2,7 @@
 #define CREW_RUNTIME_OCR_H_
 
 #include "model/step.h"
+#include "obs/trace.h"
 #include "runtime/instance.h"
 
 namespace crew::runtime {
@@ -43,6 +44,12 @@ struct OcrPlan {
 /// full, costs partial_compensation_fraction of the step's program cost
 /// in both control architectures.
 OcrPlan PlanOcr(const model::Step& step, const InstanceState& state);
+
+/// PlanOcr for a step that starts at `node`, traced as ocr.<decision>.
+/// A reuse is also traced as ocr.result-reused, and the step's previous
+/// results then stand at the current epoch: it is no longer starting.
+OcrPlan PlanStep(obs::Tracer& tr, NodeId node, InstanceState* state,
+                 const model::Step& step);
 
 }  // namespace crew::runtime
 

@@ -253,6 +253,70 @@ TEST(InstanceTest, MergePacketUpdatesStateAndEpoch) {
   EXPECT_EQ(state.ro_links().size(), 1u);
 }
 
+TEST(InstanceTest, OwnsItsRulesAndMergePacketPostsFreshEvents) {
+  InstanceState state({"WF1", 1}, CompileSeq3());
+  EXPECT_EQ(state.rules().num_rules(), 3u);
+  WorkflowPacket packet;
+  packet.instance = {"WF1", 1};
+  packet.events.push_back({"WF.start", 1, 0});
+  state.MergePacket(packet);
+  EXPECT_EQ(state.FireableSteps(), std::vector<StepId>{1});
+  // The same occurrence again is not fresh and fires nothing.
+  packet.events.push_back({"S1.done", 1, 0});
+  state.MergePacket(packet);
+  EXPECT_EQ(state.FireableSteps(), std::vector<StepId>{2});
+  state.MergePacket(packet);
+  EXPECT_TRUE(state.FireableSteps().empty());
+}
+
+TEST(InstanceTest, StartGuardRefusesStartingAndInFlightSteps) {
+  InstanceState state({"WF1", 1}, CompileSeq3());
+  EXPECT_TRUE(state.TryStart(2));
+  EXPECT_TRUE(state.starting(2));
+  EXPECT_FALSE(state.TryStart(2));
+  state.EndStart(2);
+  state.step_record(2).in_flight = true;
+  EXPECT_FALSE(state.TryStart(2));
+  // A rollback to S1 clears both marks.
+  EXPECT_TRUE(state.TryStart(3));
+  state.ResetDownstream(1, 1);
+  EXPECT_FALSE(state.starting(3));
+  EXPECT_TRUE(state.TryStart(2));
+  EXPECT_TRUE(state.TryStart(3));
+}
+
+TEST(InstanceTest, GatedStepWaitsForItsOrderTokenDeliveredOnce) {
+  InstanceState state({"WF1", 1}, CompileSeq3());
+  const rules::EventToken token =
+      rules::event::RelativeOrderToken({"WF2", 7}, 3);
+  EXPECT_TRUE(state.GateStep(2, token));
+  state.PostEvent(rules::event::WorkflowStartToken());
+  state.PostEvent(rules::event::StepDoneToken(1));
+  EXPECT_EQ(state.FireableSteps(), std::vector<StepId>{1});
+  obs::Tracer& tr = *obs::Tracer::Null();
+  EXPECT_TRUE(DeliverOrderToken(tr, 5, &state, token));
+  EXPECT_EQ(state.FireableSteps(), std::vector<StepId>{2});
+  // A duplicate is refused and re-fires nothing.
+  EXPECT_FALSE(DeliverOrderToken(tr, 5, &state, token));
+  EXPECT_TRUE(state.FireableSteps().empty());
+}
+
+TEST(InstanceTest, FirstAttemptCompletionEndsTheRecoveryMode) {
+  InstanceState state({"WF1", 1}, CompileSeq3());
+  obs::Tracer& tr = *obs::Tracer::Null();
+  state.set_mode(sim::MsgCategory::kFailureHandling);
+  state.step_record(1).attempts = 1;
+  StepDone(tr, 5, &state, 1, /*reused=*/true);
+  EXPECT_EQ(state.mode(), sim::MsgCategory::kFailureHandling);
+  state.step_record(2).attempts = 2;
+  StepDone(tr, 5, &state, 2, /*reused=*/false);
+  EXPECT_EQ(state.mode(), sim::MsgCategory::kFailureHandling);
+  state.step_record(3).attempts = 1;
+  StepDone(tr, 5, &state, 3, /*reused=*/false);
+  EXPECT_EQ(state.mode(), sim::MsgCategory::kNormal);
+  EXPECT_TRUE(state.EventValid(rules::event::StepDoneToken(3)));
+}
+
 TEST(OcrTest, FirstExecutionWhenNeverRun) {
   model::Step step;
   step.id = 2;
