@@ -471,6 +471,10 @@ TEST(DistAgentTest, NestedWorkflowRunsChildToCommit) {
   // The child's terminal results surfaced under the parent step.
   std::map<std::string, Value> data = fix.system_->ArchivedData(id);
   EXPECT_TRUE(data.count("S2.sub.S3.O1"));
+  // The parent's purge dropped the entry of its committed child.
+  for (size_t i = 0; i < fix.system_->num_agents(); ++i) {
+    EXPECT_EQ(fix.system_->agent(i).protocol_entries(), 0u) << "agent " << i;
+  }
 }
 
 TEST(DistAgentTest, SuccessorAgentFailureRoutesAroundDownNode) {
@@ -521,6 +525,10 @@ TEST(DistAgentTest, QueryStepReexecutedWhenPredecessorDown) {
   EXPECT_GT(fix.simulator_.metrics().MessagesIn(
                 sim::MsgCategory::kFailureHandling),
             0);
+  // The purge dropped every poll and poll time of the instance.
+  for (size_t i = 0; i < fix.system_->num_agents(); ++i) {
+    EXPECT_EQ(fix.system_->agent(i).protocol_entries(), 0u) << "agent " << i;
+  }
 }
 
 TEST(DistAgentTest, MessageCountMatchesFanoutModel) {
