@@ -84,12 +84,6 @@ struct SocketTransport::Peer {
   std::deque<Retained> retained;
   size_t unsent_index = 0;
   size_t retained_bytes = 0;
-  /// Bytes in [unsent_index, ...) — what a flush would stage. Drives the
-  /// batch byte-cap check without rescanning the deque.
-  size_t unsent_bytes = 0;
-  /// When the oldest currently-unsent frame was admitted (ms since
-  /// start), -1 when nothing is pending. Drives batch_max_delay_ms.
-  int64_t pending_since_ms = -1;
   uint64_t next_seq = 1;
   /// Highest seq ever written to any connection: staging a frame at or
   /// below it means a reconnect is replaying the unacked window.
@@ -105,10 +99,9 @@ struct SocketTransport::Peer {
   std::string write_buffer;
   size_t write_offset = 0;
 
-  bool WantsWrite(bool flush_due) const {
-    return connected &&
-           (write_offset < write_buffer.size() ||
-            (flush_due && unsent_index < retained.size()));
+  bool WantsWrite() const {
+    return connected && (write_offset < write_buffer.size() ||
+                         unsent_index < retained.size());
   }
   size_t BacklogBytes() const { return retained_bytes + held_bytes; }
 };
@@ -294,12 +287,7 @@ void SocketTransport::SetNodeDown(NodeId id, bool down) {
       retained.bytes = EncodeFrame(frame);
       peer->held_bytes -= frame.message.payload.size();
       peer->retained_bytes += retained.bytes.size();
-      peer->unsent_bytes += retained.bytes.size();
       peer->retained.push_back(std::move(retained));
-    }
-    if (peer->pending_since_ms < 0 &&
-        peer->unsent_index < peer->retained.size()) {
-      peer->pending_since_ms = NowMs();
     }
     peer->held.erase(it);
   }
@@ -390,8 +378,6 @@ Status SocketTransport::Ship(sim::Message& message) {
     retained.to = frame.message.to;
     retained.bytes = EncodeFrame(frame);
     peer->retained_bytes += retained.bytes.size();
-    peer->unsent_bytes += retained.bytes.size();
-    if (peer->pending_since_ms < 0) peer->pending_since_ms = NowMs();
     peer->retained.push_back(std::move(retained));
   }
   WakeLoop();
@@ -521,8 +507,6 @@ void SocketTransport::OnConnected(Peer* peer) {
   peer->write_buffer.clear();
   peer->write_offset = 0;
   peer->unsent_index = 0;
-  peer->unsent_bytes = peer->retained_bytes;
-  peer->pending_since_ms = -1;  // replay flushes immediately anyway
   Frame hello;
   hello.kind = Frame::Kind::kHello;
   hello.endpoint = self_.Address();
@@ -554,8 +538,6 @@ void SocketTransport::OnConnectionBroken(Peer* peer, int64_t now_ms) {
   peer->write_offset = 0;
   // Rewind: everything unacked replays on the next connection.
   peer->unsent_index = 0;
-  peer->unsent_bytes = peer->retained_bytes;
-  peer->pending_since_ms = -1;
   if (!was_connected) ++peer->consecutive_failures;
   peer->next_dial_ms = now_ms + peer->backoff_ms;
   peer->backoff_ms =
@@ -563,14 +545,7 @@ void SocketTransport::OnConnectionBroken(Peer* peer, int64_t now_ms) {
                options_.reconnect_max_ms);
 }
 
-bool SocketTransport::FlushDueLocked(const Peer* peer, int64_t now_ms) const {
-  if (options_.batch_max_delay_ms <= 0) return true;  // batching per wakeup only
-  if (peer->pending_since_ms < 0) return true;
-  if (peer->unsent_bytes >= options_.batch_max_bytes) return true;
-  return now_ms - peer->pending_since_ms >= options_.batch_max_delay_ms;
-}
-
-void SocketTransport::FlushWrites(Peer* peer, bool flush_due) {
+void SocketTransport::FlushWrites(Peer* peer) {
   // Called with state_mu_ held, loop thread only.
   for (;;) {
     if (peer->write_offset == peer->write_buffer.size()) {
@@ -579,7 +554,7 @@ void SocketTransport::FlushWrites(Peer* peer, bool flush_due) {
       // Stage unsent retained frames, coalescing each run of >= 2 frames
       // under one kBatch superframe so a poll wakeup's worth of small
       // DATA frames costs one envelope (and, below, one write syscall).
-      while (flush_due && peer->unsent_index < peer->retained.size() &&
+      while (peer->unsent_index < peer->retained.size() &&
              peer->write_buffer.size() < kWriteChunk) {
         // First pass: how many frames go into this batch?
         size_t count = 0;
@@ -610,13 +585,9 @@ void SocketTransport::FlushWrites(Peer* peer, bool flush_due) {
             peer->sent_high_seq = next.seq;
           }
           peer->write_buffer += next.bytes;
-          peer->unsent_bytes -= next.bytes.size();
           ++peer->unsent_index;
           frames_sent_.fetch_add(1, std::memory_order_relaxed);
         }
-      }
-      if (peer->unsent_index == peer->retained.size()) {
-        peer->pending_since_ms = -1;
       }
       if (peer->write_buffer.empty()) return;
     }
@@ -696,13 +667,9 @@ void SocketTransport::HandleInboundFrame(InConn* conn, Frame frame) {
       while (!peer->retained.empty() &&
              peer->retained.front().seq <= frame.watermark) {
         peer->retained_bytes -= peer->retained.front().bytes.size();
-        if (peer->unsent_index > 0) {
-          --peer->unsent_index;
-        } else {
-          // Popping a frame that was never staged (possible only when
-          // acks outrun a held/backlogged stream).
-          peer->unsent_bytes -= peer->retained.front().bytes.size();
-        }
+        // A frame never staged (acks outran a held stream) leaves the
+        // index at 0.
+        if (peer->unsent_index > 0) --peer->unsent_index;
         peer->retained.pop_front();
       }
       state_cv_.notify_all();  // backpressure waiters and Idle pollers
@@ -791,7 +758,6 @@ void SocketTransport::LoopThread() {
     std::vector<InConn*> poll_conns;
     int64_t now_ms = NowMs();
     int64_t next_dial = -1;
-    int64_t next_flush = -1;
     ResolveDueHostnames(now_ms);
     {
       std::lock_guard<std::mutex> lock(state_mu_);
@@ -805,15 +771,8 @@ void SocketTransport::LoopThread() {
                           : std::min(next_dial, peer->next_dial_ms);
           continue;
         }
-        bool flush_due = FlushDueLocked(peer.get(), now_ms);
-        if (!flush_due && peer->pending_since_ms >= 0) {
-          int64_t deadline =
-              peer->pending_since_ms + options_.batch_max_delay_ms;
-          next_flush =
-              next_flush < 0 ? deadline : std::min(next_flush, deadline);
-        }
         short events = POLLIN;  // EOF detection on the simplex link
-        if (peer->connecting || peer->WantsWrite(flush_due)) {
+        if (peer->connecting || peer->WantsWrite()) {
           events |= POLLOUT;
         }
         fds.push_back(pollfd{peer->fd, events, 0});
@@ -827,13 +786,9 @@ void SocketTransport::LoopThread() {
       fds.push_back(pollfd{conn->fd, POLLIN, 0});
       poll_conns.push_back(conn.get());
     }
-    int64_t deadline = next_dial;
-    if (next_flush >= 0 && (deadline < 0 || next_flush < deadline)) {
-      deadline = next_flush;
-    }
     int timeout_ms = -1;
-    if (deadline >= 0) {
-      timeout_ms = static_cast<int>(std::max<int64_t>(1, deadline - now_ms));
+    if (next_dial >= 0) {
+      timeout_ms = static_cast<int>(std::max<int64_t>(1, next_dial - now_ms));
     }
     int rc = poll(fds.data(), fds.size(), timeout_ms);
     if (rc < 0 && errno != EINTR) break;
@@ -889,16 +844,12 @@ void SocketTransport::LoopThread() {
             continue;
           }
         }
-        bool flush_due = FlushDueLocked(peer, now_ms);
-        if (peer->WantsWrite(flush_due)) FlushWrites(peer, flush_due);
+        if (peer->WantsWrite()) FlushWrites(peer);
       }
       // Enqueued sends may have arrived while we polled.
       for (auto& [address, peer] : peers_) {
         if (peer->fd < 0 || peer->connecting) continue;
-        bool flush_due = FlushDueLocked(peer.get(), now_ms);
-        if (peer->WantsWrite(flush_due)) {
-          FlushWrites(peer.get(), flush_due);
-        }
+        if (peer->WantsWrite()) FlushWrites(peer.get());
       }
     }
 

@@ -40,12 +40,6 @@ struct SocketTransportOptions {
   /// into one kBatch superframe per poll wakeup, capped at this many
   /// inner bytes per batch.
   size_t batch_max_bytes = 64 * 1024;
-  /// Maximum time a pending DATA frame may wait for more frames to
-  /// coalesce with. 0 (the default) flushes on the next poll wakeup —
-  /// batching then only captures frames that were already concurrently
-  /// pending, adding no latency. Positive values trade latency for
-  /// bigger batches; the byte cap above still forces an early flush.
-  int batch_max_delay_ms = 0;
 };
 
 /// Counters for benchmarks and Idle checks (monotonic, relaxed), plus
@@ -204,11 +198,7 @@ class SocketTransport : public sim::Transport, public rt::RemoteRouter {
   void ResolveDueHostnames(int64_t now_ms);
   void OnConnected(Peer* peer);
   void OnConnectionBroken(Peer* peer, int64_t now_ms);
-  /// True when the peer's pending DATA frames should be staged now
-  /// rather than waiting for more to coalesce (batch_max_delay_ms
-  /// expired, byte cap reached, or no delay policy configured).
-  bool FlushDueLocked(const Peer* peer, int64_t now_ms) const;
-  void FlushWrites(Peer* peer, bool flush_due);
+  void FlushWrites(Peer* peer);
   void ReadInbound(InConn* conn);
   void HandleInboundFrame(InConn* conn, Frame frame);
   /// Appends an ACK for `endpoint`'s stream onto our link to it,
