@@ -116,18 +116,6 @@ Status FrontEnd::RequestChangeInputs(
   return ctx_->network().Send(std::move(out));
 }
 
-Status FrontEnd::RequestStatus(const InstanceId& instance) {
-  Result<NodeId> coordination_agent = RouteFor(instance);
-  if (!coordination_agent.ok()) return coordination_agent.status();
-  runtime::WorkflowStatusMsg msg;
-  msg.instance = instance;
-  msg.reply_to = id_;
-  sim::Message out{id_, coordination_agent.value(),
-                   runtime::wi::kWorkflowStatus, msg.Serialize(),
-                   sim::MsgCategory::kAdmin};
-  return ctx_->network().Send(std::move(out));
-}
-
 runtime::WorkflowState FrontEnd::KnownStatus(
     const InstanceId& instance) const {
   auto it = statuses_.find(instance);

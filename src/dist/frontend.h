@@ -51,11 +51,10 @@ class FrontEnd : public sim::MessageHandler {
   Result<InstanceId> StartWorkflow(const std::string& workflow,
                                    std::map<std::string, Value> inputs);
 
-  /// Requests abort / input change / status from the coordination agent.
+  /// Requests abort / input change from the coordination agent.
   Status RequestAbort(const InstanceId& instance);
   Status RequestChangeInputs(const InstanceId& instance,
                              std::map<std::string, Value> new_inputs);
-  Status RequestStatus(const InstanceId& instance);
 
   /// Last known status (updated by coordination-agent replies).
   runtime::WorkflowState KnownStatus(const InstanceId& instance) const;

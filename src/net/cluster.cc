@@ -73,11 +73,6 @@ NetNode* Cluster::At(const Endpoint& endpoint) {
   return nullptr;
 }
 
-NetNode* Cluster::HostOf(NodeId id) {
-  const Endpoint* endpoint = topology_.Find(id);
-  return endpoint == nullptr ? nullptr : At(*endpoint);
-}
-
 std::vector<NetNode*> Cluster::nodes() {
   std::vector<NetNode*> out;
   out.reserve(nodes_.size());

@@ -41,7 +41,6 @@ class Cluster {
   void Shutdown();
 
   NetNode* At(const Endpoint& endpoint);
-  NetNode* HostOf(NodeId id);
   std::vector<NetNode*> nodes();
 
   /// Sum of every runtime's merged metrics. Call only after Quiesce()

@@ -19,7 +19,6 @@ NetNode::NetNode(const Topology& topology, const Endpoint& self,
         }
       },
       transport_options);
-  local_nodes_ = transport_->topology().NodesAt(self);
   runtime_.SetRemoteRouter(transport_.get());
   // Flow spans and HELLO clock samples use the runtime's serializing
   // tracer and tick clock, so transport records land in the same shard

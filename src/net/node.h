@@ -55,12 +55,10 @@ class NetNode {
   const rt::Runtime& runtime() const { return runtime_; }
   SocketTransport& transport() { return *transport_; }
   const Endpoint& self() const { return transport_->self(); }
-  const std::vector<NodeId>& local_nodes() const { return local_nodes_; }
 
  private:
   rt::Runtime runtime_;
   std::unique_ptr<SocketTransport> transport_;
-  std::vector<NodeId> local_nodes_;
   bool started_ = false;
   bool shut_down_ = false;
 };

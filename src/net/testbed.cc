@@ -107,13 +107,6 @@ std::vector<NodeId> Testbed::AllNodes(const TestbedOptions& options) {
   return out;
 }
 
-std::vector<NodeId> Testbed::CoHosted(const TestbedOptions& options) {
-  if (options.mode != "parallel") return {};
-  std::vector<NodeId> out;
-  for (int i = 0; i < options.num_engines; ++i) out.push_back(1 + i);
-  return out;
-}
-
 Result<Topology> Testbed::UnixTopology(const TestbedOptions& options,
                                        const std::string& dir,
                                        int num_endpoints) {
@@ -417,13 +410,6 @@ NodeId Testbed::LockOwnerEngine(const std::string& resource) const {
 }
 
 std::vector<NodeId> Testbed::AllEngines() const { return engine_ids_; }
-
-dist::Agent* Testbed::dist_agent(NodeId id) {
-  for (auto& agent : agents_) {
-    if (agent->id() == id) return agent.get();
-  }
-  return nullptr;
-}
 
 const model::CompiledSchemaPtr* Testbed::FindSchema(
     const std::string& name) const {

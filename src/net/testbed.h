@@ -60,8 +60,6 @@ class Testbed : public central::ParallelTopology {
  public:
   /// Every logical node id of the deployment, for topology authoring.
   static std::vector<NodeId> AllNodes(const TestbedOptions& options);
-  /// Ids that must be co-hosted at a single endpoint.
-  static std::vector<NodeId> CoHosted(const TestbedOptions& options);
 
   /// Canonical multi-process layout over `num_endpoints` Unix sockets in
   /// `dir` ("ep<i>.sock"): the control side (front end / engines) at
@@ -115,7 +113,6 @@ class Testbed : public central::ParallelTopology {
   std::vector<NodeId> AllEngines() const override;
 
   const std::vector<NodeId>& agent_ids() const { return agent_ids_; }
-  dist::Agent* dist_agent(NodeId id);
 
   /// The placement policy in effect (null when options.placement is
   /// "static"). crew_node's "feed" verb pushes cluster load samples here.

@@ -175,7 +175,6 @@ class Runtime : public sim::Backend {
   /// Monotonic admission counter (mailbox pushes + timer fires).
   int64_t AdmittedWork() const;
 
-  size_t num_nodes() const { return cells_.size(); }
   bool started() const { return started_; }
 
  private:
@@ -199,10 +198,6 @@ class Runtime : public sim::Backend {
   };
 
   Cell* FindCell(NodeId id) const;
-  /// Routes one message: counts it in the *sender's* shard, then either
-  /// parks it (destination down) or enqueues a delivery task. Returns
-  /// NotFound for unregistered destinations.
-  Status Route(sim::Message message, sim::Time sent);
   /// Routes one delivery: lock-free mailbox push while the destination
   /// is up; route_mu slow path (park or push) while it is down.
   void EnqueueDelivery(Cell* cell, sim::Message message, sim::Time sent);

@@ -16,8 +16,6 @@ bool Row::Has(const std::string& field) const {
   return fields_.count(field) > 0;
 }
 
-void Row::Erase(const std::string& field) { fields_.erase(field); }
-
 size_t FieldsBound(const std::map<std::string, Value>& fields) {
   size_t n = kMaxVarintBytes;
   for (const auto& [name, value] : fields) {
@@ -80,11 +78,6 @@ const Row* Table::Get(const std::string& key) const {
   return it == rows_.end() ? nullptr : &it->second;
 }
 
-Row* Table::GetMutable(const std::string& key) {
-  auto it = rows_.find(key);
-  return it == rows_.end() ? nullptr : &it->second;
-}
-
 bool Table::Delete(const std::string& key) {
   auto it = rows_.find(key);
   if (it == rows_.end()) return false;
@@ -95,13 +88,6 @@ bool Table::Delete(const std::string& key) {
 
 bool Table::Contains(const std::string& key) const {
   return rows_.count(key) > 0;
-}
-
-std::vector<std::string> Table::Keys() const {
-  std::vector<std::string> out;
-  out.reserve(rows_.size());
-  for (const auto& [key, row] : rows_) out.push_back(key);
-  return out;
 }
 
 std::vector<const Row*> Table::Select(const std::string& field,

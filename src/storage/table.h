@@ -30,7 +30,6 @@ class Row {
   void Set(const std::string& field, Value value);
   std::optional<Value> Get(const std::string& field) const;
   bool Has(const std::string& field) const;
-  void Erase(const std::string& field);
   size_t size() const { return fields_.size(); }
 
   const std::map<std::string, Value>& fields() const { return fields_; }
@@ -64,12 +63,10 @@ class Table {
   /// Merges fields into an existing row (creating it if absent).
   void Update(const std::string& key, const Row& fields);
   const Row* Get(const std::string& key) const;
-  Row* GetMutable(const std::string& key);
   bool Delete(const std::string& key);
   bool Contains(const std::string& key) const;
   size_t size() const { return rows_.size(); }
 
-  std::vector<std::string> Keys() const;
   const std::map<std::string, Row>& rows() const { return rows_; }
 
   /// Rows whose field `field` equals `value` (full scan).
