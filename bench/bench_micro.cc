@@ -70,7 +70,7 @@ BENCHMARK(BM_MailboxPushPop)->Arg(0)->Arg(1)->Arg(4)->Arg(8);
 
 void BM_RuleEnginePostAndFire(benchmark::State& state) {
   const int num_rules = static_cast<int>(state.range(0));
-  crew::rules::RuleEngine engine;
+  std::vector<crew::rules::Rule> rules;
   std::vector<crew::rules::EventToken> tokens;
   for (int i = 0; i < num_rules; ++i) {
     tokens.push_back(crew::rules::event::StepDoneToken(i));
@@ -78,15 +78,18 @@ void BM_RuleEnginePostAndFire(benchmark::State& state) {
     rule.id = "exec.S" + std::to_string(i + 1) + ".via.S" +
               std::to_string(i);
     rule.events = {tokens.back()};
-    rule.action = {crew::rules::ActionKind::kExecuteStep, i + 1};
-    (void)engine.AddRule(std::move(rule));
+    rule.step = i + 1;
+    rules.push_back(std::move(rule));
   }
+  const crew::rules::RuleProgram program =
+      crew::rules::RuleProgram::Build(std::move(rules)).value();
+  crew::rules::FiringState firing(&program);
   crew::expr::FunctionEnvironment env(
       [](const std::string&) { return std::nullopt; });
   int step = 0;
   for (auto _ : state) {
-    engine.Post(tokens[step % num_rules]);
-    benchmark::DoNotOptimize(engine.CollectFireable(env));
+    firing.Post(tokens[step % num_rules], step + 1, 0);
+    benchmark::DoNotOptimize(firing.CollectFireable(env));
     ++step;
   }
   state.SetItemsProcessed(state.iterations());

@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "rules/event.h"
-#include "runtime/rulegen.h"
 #include "runtime/wire.h"
 
 namespace crew::dist {
@@ -170,7 +169,6 @@ void Agent::HandleMessage(const sim::Message& message) {
   if (type == kStateInformation) return OnStateInformation(message);
   if (type == kAddRule) return OnAddRule(message);
   if (type == kAddEvent) return OnAddEvent(message);
-  if (type == kAddPrecondition) return OnAddPrecondition(message);
   if (type == kPurgeInstances) return OnPurgeInstances(message);
   if (type == kStateInformationReply) return;  // load gossip; no action
   if (type == kWorkflowStatusReply) {
@@ -685,7 +683,7 @@ void Agent::OnStepExecute(const sim::Message& message) {
         inst->state.EventValid(rules::event::StepDoneToken(target));
     if (!done_now && (record == nullptr || !record->in_flight) &&
         !inst->state.starting(target) &&
-        ElectedExecutor(inst, target) && StepTriggerable(*inst, target)) {
+        ElectedExecutor(inst, target) && inst->state.Triggerable(target)) {
       StartStepLocal(inst, target);
     }
   }
@@ -703,26 +701,6 @@ void Agent::Pump(AgentInstance* inst) {
       StartStepLocal(inst, step);
     }
   }
-}
-
-bool Agent::StepTriggerable(const AgentInstance& inst, StepId step) const {
-  expr::FunctionEnvironment env = inst.state.DataEnv();
-  for (const rules::Rule& generated :
-       runtime::MakeStepRules(*inst.state.schema(), step)) {
-    // Consult the *live* rule: AddPrecondition may have appended ordering
-    // events that must also be satisfied.
-    const rules::Rule* live = inst.state.rules().FindRule(generated.id);
-    const rules::Rule& rule = live != nullptr ? *live : generated;
-    bool all_valid = std::all_of(
-        rule.events.begin(), rule.events.end(),
-        [&inst](rules::EventToken token) {
-          return inst.state.EventValid(token);
-        });
-    if (all_valid && expr::EvaluateCondition(rule.condition, env)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 bool Agent::ElectedExecutor(AgentInstance* inst, StepId step) {
@@ -1613,16 +1591,6 @@ void Agent::OnAddEvent(const sim::Message& message) {
   }
 }
 
-void Agent::OnAddPrecondition(const sim::Message& message) {
-  Result<runtime::AddPreconditionMsg> parsed =
-      runtime::AddPreconditionMsg::Parse(message.payload);
-  if (!parsed.ok()) return;
-  const runtime::AddPreconditionMsg& msg = parsed.value();
-  AgentInstance* inst = FindInstance(msg.instance);
-  if (inst == nullptr) return;
-  (void)inst->state.rules().AddPrecondition(msg.rule_id, msg.event_token);
-}
-
 bool Agent::AcquireMutexesDistributed(AgentInstance* inst, StepId step) {
   const InstanceId& id = inst->state.id();
   for (const runtime::MutexReq* req :
@@ -1721,19 +1689,16 @@ void Agent::SchedulePendingCheck(const InstanceId& instance) {
 void Agent::CheckPendingRules(const InstanceId& instance) {
   AgentInstance* inst = FindInstance(instance);
   if (inst == nullptr) return;
-  for (const auto& [rule_id, missing] : inst->state.rules().PendingRules()) {
+  const rules::FiringState& firing = inst->state.rules();
+  for (uint32_t slot = 0; slot < firing.program().num_rules(); ++slot) {
+    std::vector<rules::EventToken> missing = firing.Missing(slot);
     if (missing.size() != 1) continue;
     StepId step = rules::event::ParseStepEvent(missing[0], "done");
     if (step == kInvalidStep) continue;
     // Only the agents that might have to execute the *waiting* step care
     // about its missing predecessor; fan-out observers do not poll.
-    const rules::Rule* rule = inst->state.rules().FindRule(rule_id);
-    if (rule == nullptr ||
-        rule->action.kind != rules::ActionKind::kExecuteStep) {
-      continue;
-    }
     const std::vector<NodeId>& action_eligible = deployment_->Eligible(
-        instance.workflow, rule->action.step);
+        instance.workflow, firing.program().rule(slot).step);
     if (std::find(action_eligible.begin(), action_eligible.end(), id_) ==
         action_eligible.end()) {
       continue;
@@ -1743,7 +1708,7 @@ void Agent::CheckPendingRules(const InstanceId& instance) {
     // rules are valid here), so it should have executed by now. Rules
     // merely waiting for upstream progress are not suspicious.
     if (!inst->state.schema()->schema().has_step(step) ||
-        !StepTriggerable(*inst, step)) {
+        !inst->state.Triggerable(step)) {
       continue;
     }
     std::pair<InstanceId, StepId> key{instance, step};

@@ -151,7 +151,6 @@ class Agent : public sim::MessageHandler {
   void OnStateInformation(const sim::Message& message);
   void OnAddRule(const sim::Message& message);
   void OnAddEvent(const sim::Message& message);
-  void OnAddPrecondition(const sim::Message& message);
   void OnPurgeInstances(const sim::Message& message);
   /// WorkflowStatusReply to `to`, unless it is kInvalidNode.
   void ReplyStatus(NodeId to, const InstanceId& instance,
@@ -165,9 +164,6 @@ class Agent : public sim::MessageHandler {
   /// step's eligible agents that are up, the one at (instance number +
   /// step) mod their count; kInvalidNode when all are down.
   NodeId ElectAmongLiving(const InstanceId& instance, StepId step) const;
-  /// True if, from this replica's view, every event and the condition of
-  /// one of the rules that fire `step` hold.
-  bool StepTriggerable(const AgentInstance& inst, StepId step) const;
   void StartStepLocal(AgentInstance* inst, StepId step);
   void RunProgramLocal(AgentInstance* inst, StepId step,
                        double cost_fraction);

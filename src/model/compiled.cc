@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "model/rulegen.h"
+
 namespace crew::model {
 
 Result<CompiledSchemaPtr> CompiledSchema::Compile(Schema schema) {
@@ -106,6 +108,11 @@ Result<CompiledSchemaPtr> CompiledSchema::Compile(Schema schema) {
       return Status::Internal("cycle slipped through builder validation");
     }
   }
+
+  Result<rules::RuleProgram> program =
+      rules::RuleProgram::Build(MakeAllRules(*compiled));
+  if (!program.ok()) return program.status();
+  compiled->rules_ = std::move(program).value();
 
   return CompiledSchemaPtr(compiled);
 }

@@ -6,20 +6,26 @@
 
 #include "common/status.h"
 #include "model/schema.h"
+#include "rules/engine.h"
 
 namespace crew::model {
 
 /// Static analysis of a Schema, produced once by the "compilation process"
-/// the paper says runs before deployment (§4.2). All runtimes (central,
-/// parallel, distributed) navigate from this structure.
+/// the paper says runs before deployment (§4.2), together with the
+/// schema's rule program. All runtimes (central, parallel, distributed)
+/// navigate and fire rules from this structure.
 class CompiledSchema {
  public:
-  /// Analyzes the schema. The schema must have passed SchemaBuilder
-  /// validation.
+  /// Analyzes the schema and builds its rule program. The schema must
+  /// have passed SchemaBuilder validation.
   static Result<std::shared_ptr<const CompiledSchema>> Compile(
       Schema schema);
 
   const Schema& schema() const { return schema_; }
+
+  /// The rules of every step (model/rulegen.h), built once here; every
+  /// instance of the schema fires from this one program.
+  const rules::RuleProgram& rules() const { return rules_; }
 
   /// Outgoing forward arcs of a step (in declaration order).
   const std::vector<const ControlArc*>& forward_out(StepId id) const {
@@ -93,6 +99,7 @@ class CompiledSchema {
   std::vector<std::vector<StepId>> downstream_;
   std::vector<std::vector<int>> comp_dep_sets_of_;
   std::vector<StepId> topo_order_;
+  rules::RuleProgram rules_;
 };
 
 using CompiledSchemaPtr = std::shared_ptr<const CompiledSchema>;

@@ -3,149 +3,169 @@
 #include <algorithm>
 
 namespace crew::rules {
+namespace {
 
-uint32_t RuleEngine::EventSlot(EventToken token) {
-  auto [it, inserted] =
-      event_index_.try_emplace(token, static_cast<uint32_t>(events_.size()));
-  if (inserted) events_.emplace_back();
-  return it->second;
+const std::vector<uint32_t>& NoSlots() {
+  static const std::vector<uint32_t> kNone;
+  return kNone;
 }
 
-const RuleEngine::EventState* RuleEngine::FindEvent(
-    EventToken token) const {
-  auto it = event_index_.find(token);
-  return it == event_index_.end() ? nullptr : &events_[it->second];
+}  // namespace
+
+Result<RuleProgram> RuleProgram::Build(std::vector<Rule> rules) {
+  std::sort(rules.begin(), rules.end(),
+            [](const Rule& a, const Rule& b) { return a.id < b.id; });
+  RuleProgram program;
+  for (uint32_t slot = 0; slot < rules.size(); ++slot) {
+    const Rule& rule = rules[slot];
+    if (rule.id.empty()) {
+      return Status::InvalidArgument("rule id must not be empty");
+    }
+    if (slot > 0 && rules[slot - 1].id == rule.id) {
+      return Status::AlreadyExists("rule " + rule.id + " already present");
+    }
+    if (rule.events.empty()) {
+      return Status::InvalidArgument("rule " + rule.id +
+                                     " has no trigger events");
+    }
+    if (rule.step <= kInvalidStep) {
+      return Status::InvalidArgument("rule " + rule.id + " starts no step");
+    }
+    for (EventToken token : rule.events) {
+      program.watchers_[token].push_back(slot);
+    }
+    if (program.step_slots_.size() <= static_cast<size_t>(rule.step)) {
+      program.step_slots_.resize(rule.step + 1);
+    }
+    program.step_slots_[rule.step].push_back(slot);
+  }
+  program.rules_ = std::move(rules);
+  return program;
 }
 
-void RuleEngine::MarkDirty(uint32_t rule_slot) {
-  RuleState& state = rules_[rule_slot];
-  if (!state.alive || state.dirty) return;
+const std::vector<uint32_t>& RuleProgram::watchers(EventToken token) const {
+  auto it = watchers_.find(token);
+  return it == watchers_.end() ? NoSlots() : it->second;
+}
+
+const std::vector<uint32_t>& RuleProgram::step_slots(StepId step) const {
+  return step > kInvalidStep && static_cast<size_t>(step) < step_slots_.size()
+             ? step_slots_[step]
+             : NoSlots();
+}
+
+FiringState::FiringState() {
+  static const RuleProgram kEmpty;
+  program_ = &kEmpty;
+}
+
+FiringState::FiringState(const RuleProgram* program)
+    : program_(program), slots_(program->num_rules()) {}
+
+void FiringState::MarkDirty(uint32_t slot) {
+  SlotState& state = slots_[slot];
+  if (state.dirty) return;
   state.dirty = true;
-  dirty_.push_back(rule_slot);
+  dirty_.push_back(slot);
 }
 
-Status RuleEngine::AddRule(Rule rule) {
-  if (rule.id.empty()) {
-    return Status::InvalidArgument("rule id must not be empty");
+void FiringState::Post(EventToken token, int64_t occ, int64_t epoch) {
+  events_[token] = EventEntry{occ, epoch, next_stamp_++, true};
+  for (uint32_t slot : program_->watchers(token)) MarkDirty(slot);
+  for (const auto& [step, gate] : gates_) {
+    if (gate != token) continue;
+    for (uint32_t slot : program_->step_slots(step)) MarkDirty(slot);
   }
-  if (rule.events.empty()) {
-    return Status::InvalidArgument("rule " + rule.id +
-                                   " has no trigger events");
-  }
-  if (rule_index_.find(rule.id) != rule_index_.end()) {
-    return Status::AlreadyExists("rule " + rule.id + " already present");
-  }
-  uint32_t slot = static_cast<uint32_t>(rules_.size());
-  rule_index_.emplace(rule.id, slot);
-  rules_.push_back(RuleState{std::move(rule), 0, true, false});
-  for (EventToken token : rules_[slot].rule.events) {
-    events_[EventSlot(token)].watchers.push_back(slot);
-  }
-  // The new rule may be fireable on already-posted events.
-  MarkDirty(slot);
-  return Status::OK();
 }
 
-bool RuleEngine::RemoveRule(std::string_view rule_id) {
-  auto it = rule_index_.find(rule_id);
-  if (it == rule_index_.end()) return false;
-  RuleState& state = rules_[it->second];
-  state.alive = false;
-  state.dirty = false;
-  state.rule = Rule{};  // release triggers/condition; slot is tombstoned
-  rule_index_.erase(it);
+void FiringState::Invalidate(EventToken token) {
+  auto it = events_.find(token);
+  if (it != events_.end()) it->second.valid = false;
+}
+
+const EventEntry* FiringState::FindEvent(EventToken token) const {
+  auto it = events_.find(token);
+  return it == events_.end() ? nullptr : &it->second;
+}
+
+bool FiringState::Occurred(EventToken token) const {
+  const EventEntry* entry = FindEvent(token);
+  return entry != nullptr && entry->valid;
+}
+
+bool FiringState::Gate(StepId step, EventToken token) {
+  const std::vector<uint32_t>& slots = program_->step_slots(step);
+  if (slots.empty()) return false;
+  std::pair<StepId, EventToken> gate{step, token};
+  if (std::find(gates_.begin(), gates_.end(), gate) == gates_.end()) {
+    gates_.push_back(gate);
+    // A valid gate can raise a rule's newest stamp above its last-fired
+    // stamp, making it fireable right now.
+    for (uint32_t slot : slots) MarkDirty(slot);
+  }
   return true;
 }
 
-Status RuleEngine::AddPrecondition(std::string_view rule_id,
-                                   EventToken extra_event) {
-  auto it = rule_index_.find(rule_id);
-  if (it == rule_index_.end()) {
-    return Status::NotFound("no rule " + std::string(rule_id));
-  }
-  uint32_t slot = it->second;
-  std::vector<EventToken>& events = rules_[slot].rule.events;
-  if (std::find(events.begin(), events.end(), extra_event) ==
-      events.end()) {
-    events.push_back(extra_event);
-    events_[EventSlot(extra_event)].watchers.push_back(slot);
-    // A valid extra event can raise the rule's newest trigger stamp
-    // above its last-fired stamp, making it fireable right now.
+void FiringState::Rearm(StepId step) {
+  for (uint32_t slot : program_->step_slots(step)) {
+    slots_[slot].last_fired_stamp = 0;
+    // Still-valid events can now re-fire the rule.
     MarkDirty(slot);
   }
-  return Status::OK();
 }
 
-Status RuleEngine::AddPrecondition(std::string_view rule_id,
-                                   std::string_view extra_event) {
-  return AddPrecondition(rule_id, InternToken(extra_event));
-}
-
-void RuleEngine::Post(EventToken token) {
-  EventState& state = events_[EventSlot(token)];
-  state.valid = true;
-  state.stamp = next_stamp_++;
-  for (uint32_t slot : state.watchers) MarkDirty(slot);
-}
-
-void RuleEngine::Post(std::string_view token) { Post(InternToken(token)); }
-
-void RuleEngine::Invalidate(EventToken token) {
-  auto it = event_index_.find(token);
-  if (it != event_index_.end()) events_[it->second].valid = false;
-}
-
-void RuleEngine::Invalidate(std::string_view token) {
-  EventToken interned = FindToken(token);
-  if (interned != kInvalidEventToken) Invalidate(interned);
-}
-
-bool RuleEngine::Occurred(EventToken token) const {
-  const EventState* state = FindEvent(token);
-  return state != nullptr && state->valid;
-}
-
-bool RuleEngine::Occurred(std::string_view token) const {
-  EventToken interned = FindToken(token);
-  return interned != kInvalidEventToken && Occurred(interned);
-}
-
-RuleEngine::Readiness RuleEngine::Evaluate(const RuleState& state,
-                                           const expr::Environment& env,
-                                           uint64_t* newest_stamp) const {
-  uint64_t newest = 0;
-  for (EventToken token : state.rule.events) {
-    const EventState* event = FindEvent(token);
-    if (event == nullptr || !event->valid) return Readiness::kNotReady;
-    newest = std::max(newest, event->stamp);
+template <typename Fn>
+bool FiringState::ForEachTrigger(uint32_t slot, Fn fn) const {
+  const Rule& rule = program_->rule(slot);
+  for (EventToken token : rule.events) {
+    if (!fn(token)) return false;
   }
-  if (newest <= state.last_fired_stamp) return Readiness::kNotReady;
-  if (!expr::EvaluateCondition(state.rule.condition, env)) {
+  for (const auto& [step, token] : gates_) {
+    // A gate on one of the rule's own events adds nothing.
+    if (step != rule.step || std::find(rule.events.begin(), rule.events.end(),
+                                       token) != rule.events.end()) {
+      continue;
+    }
+    if (!fn(token)) return false;
+  }
+  return true;
+}
+
+FiringState::Readiness FiringState::Evaluate(uint32_t slot,
+                                             const expr::Environment& env,
+                                             uint64_t* newest_stamp) const {
+  uint64_t newest = 0;
+  bool all_valid = ForEachTrigger(slot, [&](EventToken token) {
+    const EventEntry* event = FindEvent(token);
+    if (event == nullptr || !event->valid) return false;
+    newest = std::max(newest, event->stamp);
+    return true;
+  });
+  if (!all_valid || newest <= slots_[slot].last_fired_stamp) {
+    return Readiness::kNotReady;
+  }
+  if (!expr::EvaluateCondition(program_->rule(slot).condition, env)) {
     return Readiness::kConditionFalse;
   }
   *newest_stamp = newest;
   return Readiness::kFire;
 }
 
-std::vector<RuleAction> RuleEngine::CollectFireable(
+std::vector<StepId> FiringState::CollectFireable(
     const expr::Environment& env) {
-  std::vector<RuleAction> fired;
+  std::vector<StepId> fired;
   if (dirty_.empty()) return fired;
-  // Rule-id order reproduces the firing order of a full id-ordered scan.
-  std::sort(dirty_.begin(), dirty_.end(),
-            [this](uint32_t a, uint32_t b) {
-              return rules_[a].rule.id < rules_[b].rule.id;
-            });
+  // Slot order is rule-id order: that of a full id-ordered scan.
+  std::sort(dirty_.begin(), dirty_.end());
   std::vector<uint32_t> retained;
   for (uint32_t slot : dirty_) {
-    RuleState& state = rules_[slot];
+    SlotState& state = slots_[slot];
     state.dirty = false;
-    if (!state.alive) continue;
     uint64_t newest = 0;
-    switch (Evaluate(state, env, &newest)) {
+    switch (Evaluate(slot, env, &newest)) {
       case Readiness::kFire:
         state.last_fired_stamp = newest;
-        fired.push_back(state.rule.action);
+        fired.push_back(program_->rule(slot).step);
         ++fire_count_;
         break;
       case Readiness::kConditionFalse:
@@ -164,53 +184,26 @@ std::vector<RuleAction> RuleEngine::CollectFireable(
   return fired;
 }
 
-void RuleEngine::AppendMissing(const RuleState& state,
-                               std::vector<std::string>* missing) const {
-  for (EventToken token : state.rule.events) {
-    const EventState* event = FindEvent(token);
-    if (event == nullptr || !event->valid) {
-      missing->push_back(TokenNameStr(token));
+bool FiringState::Triggerable(StepId step,
+                              const expr::Environment& env) const {
+  for (uint32_t slot : program_->step_slots(step)) {
+    bool all_valid = ForEachTrigger(
+        slot, [this](EventToken token) { return Occurred(token); });
+    if (all_valid &&
+        expr::EvaluateCondition(program_->rule(slot).condition, env)) {
+      return true;
     }
   }
+  return false;
 }
 
-std::vector<std::pair<std::string, std::vector<std::string>>>
-RuleEngine::PendingRules() const {
-  std::vector<std::pair<std::string, std::vector<std::string>>> out;
-  for (const RuleState& state : rules_) {
-    if (!state.alive) continue;
-    std::vector<std::string> missing;
-    AppendMissing(state, &missing);
-    if (!missing.empty()) out.emplace_back(state.rule.id, std::move(missing));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
-}
-
-std::vector<std::string> RuleEngine::MissingEvents(
-    std::string_view rule_id) const {
-  std::vector<std::string> missing;
-  auto it = rule_index_.find(rule_id);
-  if (it == rule_index_.end()) return missing;
-  AppendMissing(rules_[it->second], &missing);
+std::vector<EventToken> FiringState::Missing(uint32_t slot) const {
+  std::vector<EventToken> missing;
+  ForEachTrigger(slot, [&](EventToken token) {
+    if (!Occurred(token)) missing.push_back(token);
+    return true;
+  });
   return missing;
-}
-
-void RuleEngine::ResetFiringIf(
-    const std::function<bool(const Rule&)>& pred) {
-  for (uint32_t slot = 0; slot < rules_.size(); ++slot) {
-    RuleState& state = rules_[slot];
-    if (!state.alive || !pred(state.rule)) continue;
-    state.last_fired_stamp = 0;
-    // Still-valid triggers can now re-fire the rule.
-    MarkDirty(slot);
-  }
-}
-
-const Rule* RuleEngine::FindRule(std::string_view rule_id) const {
-  auto it = rule_index_.find(rule_id);
-  return it == rule_index_.end() ? nullptr : &rules_[it->second].rule;
 }
 
 }  // namespace crew::rules

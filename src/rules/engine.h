@@ -2,9 +2,7 @@
 #define CREW_RULES_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -17,149 +15,144 @@
 
 namespace crew::rules {
 
-/// What a fired rule asks the runtime to do. The rule engine itself is
-/// action-agnostic; runtimes interpret these descriptors.
-enum class ActionKind {
-  kExecuteStep,
-  kCompensateStep,
-  kCommitWorkflow,
-  kAbortWorkflow,
-};
-
-struct RuleAction {
-  ActionKind kind = ActionKind::kExecuteStep;
-  StepId step = kInvalidStep;
-};
-
-/// An Event-Condition-Action rule instance (§3): fires when every trigger
-/// event has occurred (and is currently valid) and the condition holds.
-/// Trigger events are interned EventTokens (see rules/token.h).
+/// An Event-Condition-Action rule (§3): when every trigger event has
+/// occurred (and is currently valid) and the condition holds, it starts
+/// its step. Trigger events are interned EventTokens (see rules/token.h).
 struct Rule {
-  std::string id;                    ///< unique within one engine
+  std::string id;                    ///< unique within one program
   std::vector<EventToken> events;    ///< ALL must be valid to fire
   expr::NodePtr condition;           ///< null => unconditional
-  RuleAction action;
+  StepId step = kInvalidStep;        ///< the step the rule starts
 };
 
-/// Per-instance event table + rule store implementing the paper's
-/// general-rule and pending-rule tables, with the three implementation
-/// primitives AddRule() / AddEvent() (via Post) / AddPrecondition().
+/// The rules of one workflow class, compiled once before deployment
+/// (§4.2) and shared read-only by every instance of the class. Rules
+/// live in rule-id order, so a slot number is also the rule's firing
+/// rank. Two indexes point back into the slots: event -> rules it
+/// triggers, and step -> rules that start it.
+class RuleProgram {
+ public:
+  /// Sorts `rules` by id. Rejects an empty or duplicate id, a rule
+  /// without trigger events and one that starts no step.
+  static Result<RuleProgram> Build(std::vector<Rule> rules);
+
+  size_t num_rules() const { return rules_.size(); }
+  const Rule& rule(uint32_t slot) const { return rules_[slot]; }
+  /// Slots of the rules `token` triggers (empty if none).
+  const std::vector<uint32_t>& watchers(EventToken token) const;
+  /// Slots of the rules that start `step` (empty if none).
+  const std::vector<uint32_t>& step_slots(StepId step) const;
+
+ private:
+  std::vector<Rule> rules_;
+  std::unordered_map<EventToken, std::vector<uint32_t>> watchers_;
+  std::vector<std::vector<uint32_t>> step_slots_;  // indexed by StepId
+};
+
+/// One event of an instance: the occurrence number and epoch the runtime
+/// ships in packets, the sequence stamp of its latest post (which orders
+/// firings), and whether it still stands.
+struct EventEntry {
+  int64_t occ = 0;
+  int64_t epoch = 0;
+  uint64_t stamp = 0;
+  bool valid = false;
+};
+
+/// The per-instance side of a RuleProgram: the instance's event table and
+/// each rule's firing state, implementing the paper's general-rule and
+/// pending-rule tables with its primitives AddEvent() (Post) and
+/// AddPrecondition() (Gate). The program itself never changes.
 ///
 /// Firing semantics:
 ///  - Every Post() stamps the event with a fresh sequence number and
 ///    marks it valid.
 ///  - Invalidate() marks an event no-longer-occurred; pending progress of
 ///    rules that depend on it is discarded (the paper's rollback step).
-///  - A rule is *fireable* when every trigger event is valid, the newest
-///    trigger stamp exceeds the rule's last-fired stamp (so loop rules
-///    re-fire on re-posted events, but a rule does not re-fire
-///    spuriously), and its condition evaluates true.
+///  - A rule is *fireable* when every trigger event and every gate of its
+///    step is valid, the newest of their stamps exceeds the rule's
+///    last-fired stamp (so loop rules re-fire on re-posted events, but a
+///    rule does not re-fire spuriously), and its condition holds.
 ///
-/// Dispatch is indexed rather than scanned: rules live in a dense vector,
-/// an inverted index maps each event to the rules it triggers, and every
-/// mutation that can newly enable a rule (Post / AddRule /
-/// AddPrecondition / ResetFiringIf) marks only the dependent rules dirty.
-/// CollectFireable() evaluates the dirty candidates in rule-id order —
-/// the same order the original full scan produced — so the fired-action
-/// sequence is bit-identical to the scanning engine's. A candidate whose
-/// trigger events are satisfied but whose condition is false stays dirty
-/// (the environment can change between calls without a new event); one
-/// that is missing an event or a fresh stamp is dropped, because only a
+/// Dispatch is indexed rather than scanned: every mutation that can newly
+/// enable a rule (Post / Gate / Rearm) marks only the dependent slots
+/// dirty, and CollectFireable() evaluates the dirty slots in slot order —
+/// rule-id order, the order of a full id-ordered scan. A candidate whose
+/// events are satisfied but whose condition is false stays dirty (the
+/// environment can change between calls without a new event); one that
+/// is missing an event or a fresh stamp is dropped, because only a
 /// mutation that re-marks it can make it fireable again.
-class RuleEngine {
+class FiringState {
  public:
-  /// AddRule() primitive. Rejects duplicate ids.
-  Status AddRule(Rule rule);
+  /// A state over no rules (a default-constructed instance).
+  FiringState();
+  explicit FiringState(const RuleProgram* program);
 
-  /// Removes a rule; returns false if absent.
-  bool RemoveRule(std::string_view rule_id);
+  const RuleProgram& program() const { return *program_; }
 
-  /// AddPrecondition() primitive: appends an extra trigger event to an
-  /// existing rule, so the step it guards cannot fire until that event
-  /// arrives (used for relative ordering / mutual exclusion).
-  Status AddPrecondition(std::string_view rule_id, EventToken extra_event);
-  Status AddPrecondition(std::string_view rule_id,
-                         std::string_view extra_event);
-
-  /// AddEvent() primitive: posts an event occurrence.
-  void Post(EventToken token);
-  void Post(std::string_view token);
-
+  // ---- event table ----
+  /// AddEvent() primitive: records occurrence `occ` of `token` at
+  /// `epoch` under a fresh stamp, valid.
+  void Post(EventToken token, int64_t occ, int64_t epoch);
   /// Invalidates an occurred event (rollback). No-op if never posted.
   void Invalidate(EventToken token);
-  void Invalidate(std::string_view token);
-
+  const EventEntry* FindEvent(EventToken token) const;
   bool Occurred(EventToken token) const;
-  bool Occurred(std::string_view token) const;
+  const std::unordered_map<EventToken, EventEntry>& events() const {
+    return events_;
+  }
 
-  /// Returns the actions of every rule that can fire now, in rule-id
-  /// order, marking them fired. Conditions are evaluated against `env`.
-  /// Call after each Post()/AddRule()/AddPrecondition() batch.
-  std::vector<RuleAction> CollectFireable(const expr::Environment& env);
+  // ---- firing ----
+  /// AddPrecondition() for this instance only: every rule that starts
+  /// `step` also waits for `token`. False (and nothing gated) when no
+  /// rule starts the step.
+  bool Gate(StepId step, EventToken token);
 
-  /// Rules that are waiting on at least one missing/invalid event —
-  /// the paper's pending-rule table view, in rule-id order. Pairs of
-  /// (rule id, missing event names).
-  std::vector<std::pair<std::string, std::vector<std::string>>>
-  PendingRules() const;
+  /// Clears the fired marker of the rules that start `step`, so they can
+  /// fire again on their *existing* (still valid) events. Used when a
+  /// rollback re-enables the rules of downstream steps (§5.2).
+  void Rearm(StepId step);
 
-  /// Events a given rule still needs (empty if all triggers are valid).
-  std::vector<std::string> MissingEvents(std::string_view rule_id) const;
+  /// Returns the steps of every rule that can fire now, in slot order,
+  /// marking the rules fired. Conditions are evaluated against `env`.
+  std::vector<StepId> CollectFireable(const expr::Environment& env);
 
-  const Rule* FindRule(std::string_view rule_id) const;
-  size_t num_rules() const { return rule_index_.size(); }
+  /// True when some rule that starts `step` has every event (and gate)
+  /// valid and its condition holds, whether or not it fired already.
+  bool Triggerable(StepId step, const expr::Environment& env) const;
 
-  /// Resets the fired marker of every rule matching `pred`, so it can
-  /// fire again on its *existing* (still valid) trigger events. Used when
-  /// a rollback re-enables the rules of downstream steps (§5.2).
-  void ResetFiringIf(const std::function<bool(const Rule&)>& pred);
+  /// The events (triggers, then gates) rule `slot` still waits for — its
+  /// row of the paper's pending-rule table.
+  std::vector<EventToken> Missing(uint32_t slot) const;
 
   /// Total number of rule firings (metrics).
   int64_t fire_count() const { return fire_count_; }
 
  private:
-  struct EventState {
-    bool valid = false;
-    uint64_t stamp = 0;  // sequence of the latest Post
-    /// Inverted index: slots of the rules triggered by this event. May
-    /// hold tombstoned slots after RemoveRule; MarkDirty() skips them.
-    std::vector<uint32_t> watchers;
-  };
-  struct RuleState {
-    Rule rule;
+  struct SlotState {
     uint64_t last_fired_stamp = 0;
-    bool alive = true;
     bool dirty = false;  // queued in dirty_
   };
 
   /// Outcome of evaluating one dirty candidate.
   enum class Readiness { kFire, kConditionFalse, kNotReady };
 
-  /// Engine-local dense slot for `token`, created on first sight.
-  uint32_t EventSlot(EventToken token);
-  const EventState* FindEvent(EventToken token) const;
-  void MarkDirty(uint32_t rule_slot);
-  Readiness Evaluate(const RuleState& state, const expr::Environment& env,
+  void MarkDirty(uint32_t slot);
+  /// Calls `fn(token)` for the events and gates of rule `slot`; stops at
+  /// the first call that returns false.
+  template <typename Fn>
+  bool ForEachTrigger(uint32_t slot, Fn fn) const;
+  Readiness Evaluate(uint32_t slot, const expr::Environment& env,
                      uint64_t* newest_stamp) const;
-  void AppendMissing(const RuleState& state,
-                     std::vector<std::string>* missing) const;
 
-  /// Dense rule store. Slots are stable for the engine's lifetime:
-  /// RemoveRule tombstones (alive=false) and slots are never reused, so
-  /// inverted-index entries stay valid.
-  std::vector<RuleState> rules_;
-  std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>>
-      rule_index_;  // id -> slot (alive rules only)
-
-  /// Event table, compacted to engine-local dense slots (global tokens
-  /// are process-wide; one engine only touches a few of them).
-  std::unordered_map<EventToken, uint32_t> event_index_;
-  std::vector<EventState> events_;
-
-  /// Candidate rules to evaluate at the next CollectFireable(), each at
-  /// most once (RuleState::dirty guards duplicates).
+  const RuleProgram* program_;
+  std::unordered_map<EventToken, EventEntry> events_;
+  std::vector<SlotState> slots_;  // parallel to the program's rules
+  /// The gate overlay: (step, token) pairs added by Gate().
+  std::vector<std::pair<StepId, EventToken>> gates_;
+  /// Candidates to evaluate at the next CollectFireable(), each at most
+  /// once (SlotState::dirty guards duplicates).
   std::vector<uint32_t> dirty_;
-
   uint64_t next_stamp_ = 1;
   int64_t fire_count_ = 0;
 };

@@ -3,17 +3,13 @@
 #include <algorithm>
 
 #include "rules/event.h"
-#include "runtime/rulegen.h"
 
 namespace crew::runtime {
 
 InstanceState::InstanceState(InstanceId id, model::CompiledSchemaPtr schema)
-    : id_(std::move(id)), schema_(std::move(schema)) {
-  // Generated rule ids are unique per schema, so no AddRule fails.
-  for (rules::Rule& rule : MakeAllRules(*schema_)) {
-    (void)rules_.AddRule(std::move(rule));
-  }
-}
+    : id_(std::move(id)),
+      schema_(std::move(schema)),
+      rules_(&schema_->rules()) {}
 
 void InstanceState::SetData(const std::string& item, Value value) {
   data_[item] = std::move(value);
@@ -55,27 +51,18 @@ void InstanceState::NoteForwarded(StepId step, NodeId agent) {
 }
 
 bool InstanceState::MergeEvent(const EventOcc& event) {
-  EventEntry& entry = events_[event.token];
-  if (event.occ > entry.occ) {
-    entry.occ = event.occ;
-    entry.epoch = event.epoch;
-    entry.valid = true;
-    return true;
-  }
+  const rules::EventEntry* entry = rules_.FindEvent(event.token);
   // Same or older occurrence: never resurrects an invalidated event.
-  return false;
+  if (event.occ <= (entry == nullptr ? 0 : entry->occ)) return false;
+  rules_.Post(event.token, event.occ, event.epoch);
+  return true;
 }
 
-EventOcc InstanceState::PostLocalEvent(rules::EventToken token) {
-  EventEntry& entry = events_[token];
-  entry.occ += 1;
-  entry.epoch = epoch_;
-  entry.valid = true;
-  return EventOcc{token, entry.occ, entry.epoch};
-}
-
-EventOcc InstanceState::PostLocalEvent(std::string_view token) {
-  return PostLocalEvent(rules::InternToken(token));
+EventOcc InstanceState::PostEvent(rules::EventToken token) {
+  const rules::EventEntry* entry = rules_.FindEvent(token);
+  EventOcc occ{token, entry == nullptr ? 1 : entry->occ + 1, epoch_};
+  rules_.Post(token, occ.occ, occ.epoch);
+  return occ;
 }
 
 std::vector<rules::EventToken> InstanceState::InvalidateDownstream(
@@ -85,10 +72,9 @@ std::vector<rules::EventToken> InstanceState::InvalidateDownstream(
   for (StepId step : schema_->downstream_including(origin)) {
     for (rules::EventToken token : {rules::event::StepDoneToken(step),
                                     rules::event::StepFailToken(step)}) {
-      auto it = events_.find(token);
-      if (it != events_.end() && it->second.valid &&
-          it->second.epoch < new_epoch) {
-        it->second.valid = false;
+      const rules::EventEntry* entry = rules_.FindEvent(token);
+      if (entry != nullptr && entry->valid && entry->epoch < new_epoch) {
+        rules_.Invalidate(token);
         invalidated.push_back(token);
       }
     }
@@ -98,32 +84,20 @@ std::vector<rules::EventToken> InstanceState::InvalidateDownstream(
 
 std::vector<StepId> InstanceState::FireableSteps() {
   std::vector<StepId> steps;
-  for (const rules::RuleAction& action : rules_.CollectFireable(DataEnv())) {
-    if (action.kind == rules::ActionKind::kExecuteStep &&
-        std::find(steps.begin(), steps.end(), action.step) == steps.end()) {
-      steps.push_back(action.step);
+  for (StepId step : rules_.CollectFireable(DataEnv())) {
+    if (std::find(steps.begin(), steps.end(), step) == steps.end()) {
+      steps.push_back(step);
     }
   }
   return steps;
 }
 
-void InstanceState::PostEvent(rules::EventToken token) {
-  PostLocalEvent(token);
-  rules_.Post(token);
-}
-
 int64_t InstanceState::ResetDownstream(StepId origin, int64_t new_epoch) {
-  for (rules::EventToken token : InvalidateDownstream(origin, new_epoch)) {
-    rules_.Invalidate(token);
-  }
-  const model::CompiledSchema* schema = schema_.get();
-  rules_.ResetFiringIf([schema, origin](const rules::Rule& rule) {
-    return rule.action.kind == rules::ActionKind::kExecuteStep &&
-           schema->IsDownstream(origin, rule.action.step);
-  });
+  InvalidateDownstream(origin, new_epoch);
   // Replies and completions of runs under the old epoch are void.
   int64_t touched = 0;
-  for (StepId step : schema->downstream_including(origin)) {
+  for (StepId step : schema_->downstream_including(origin)) {
+    rules_.Rearm(step);
     StepRecord& record = steps_[step];
     if (record.state != StepRunState::kUnknown || record.in_flight) {
       ++touched;
@@ -132,15 +106,6 @@ int64_t InstanceState::ResetDownstream(StepId origin, int64_t new_epoch) {
     starting_.erase(step);
   }
   return touched;
-}
-
-bool InstanceState::GateStep(StepId step, rules::EventToken token) {
-  // The rule ids are regenerated deterministically from the schema.
-  bool guarded = false;
-  for (const rules::Rule& rule : MakeStepRules(*schema_, step)) {
-    if (rules_.AddPrecondition(rule.id, token).ok()) guarded = true;
-  }
-  return guarded;
 }
 
 bool InstanceState::TryStart(StepId step) {
@@ -202,8 +167,8 @@ StepId InstanceState::SwitchBranch(StepId split_step, StepId* chosen) {
 
 std::vector<EventOcc> InstanceState::ValidEvents() const {
   std::vector<EventOcc> out;
-  out.reserve(events_.size());
-  for (const auto& [token, entry] : events_) {
+  out.reserve(rules_.events().size());
+  for (const auto& [token, entry] : rules_.events()) {
     if (entry.valid) out.push_back(EventOcc{token, entry.occ, entry.epoch});
   }
   // The table used to be a name-keyed std::map, so packets carried events
@@ -216,8 +181,7 @@ std::vector<EventOcc> InstanceState::ValidEvents() const {
 }
 
 bool InstanceState::EventValid(rules::EventToken token) const {
-  auto it = events_.find(token);
-  return it != events_.end() && it->second.valid;
+  return rules_.Occurred(token);
 }
 
 bool InstanceState::EventValid(std::string_view token) const {
@@ -268,9 +232,7 @@ void InstanceState::MergePacket(const WorkflowPacket& packet) {
   if (packet.coordinator != kInvalidNode) {
     set_coordinator(packet.coordinator);
   }
-  for (const EventOcc& event : packet.events) {
-    if (MergeEvent(event)) rules_.Post(event.token);
-  }
+  for (const EventOcc& event : packet.events) MergeEvent(event);
 }
 
 WorkflowPacket InstanceState::MakePacket(StepId target_step) const {

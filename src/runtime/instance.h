@@ -7,7 +7,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -42,7 +41,8 @@ struct StepRecord {
 };
 
 /// The state of one workflow instance as known at one node: the workflow
-/// instance table (data + context), the step status table, its rules,
+/// instance table (data + context), the step status table, its event
+/// table and rule firing state over the schema's shared rule program,
 /// starting steps, ME claims and traffic mode, and the bookkeeping the
 /// distributed protocols need (epoch, forwarded-to sets, RO obligations).
 /// In distributed control each agent holds a *partial* copy, merged from
@@ -51,13 +51,13 @@ struct StepRecord {
 class InstanceState {
  public:
   InstanceState() = default;
-  /// Installs the rules of every step of `schema` (MakeAllRules).
+  /// Fires from `schema`'s rule program; installs nothing.
   InstanceState(InstanceId id, model::CompiledSchemaPtr schema);
 
   const InstanceId& id() const { return id_; }
   const model::CompiledSchemaPtr& schema() const { return schema_; }
-  rules::RuleEngine& rules() { return rules_; }
-  const rules::RuleEngine& rules() const { return rules_; }
+  /// The event table and the firing state of the schema's rules.
+  const rules::FiringState& rules() const { return rules_; }
   /// ME locks its steps asked for and, of those, the ones granted.
   MutexClaims& me() { return me_; }
 
@@ -95,27 +95,21 @@ class InstanceState {
   }
 
   // ---- event occurrence table ----
-  /// Per-token occurrence tracking mirroring the packet's event entries.
-  /// Keyed by interned EventToken (see rules/token.h).
-  struct EventEntry {
-    int64_t occ = 0;
-    int64_t epoch = 0;
-    bool valid = false;
-  };
+  // One entry per interned EventToken (see rules/token.h), held by the
+  // rule firing state: the packet's (occ, epoch) plus the post stamp.
 
-  /// Merges an event occurrence from a packet. Returns true iff the
-  /// occurrence is *fresh* here (new token or higher occurrence number) —
-  /// only then should the caller Post() it into the rule engine.
+  /// Merges an event occurrence from a packet and posts it into the
+  /// rules iff it is *fresh* here (new token or higher occurrence
+  /// number); returns whether it was.
   bool MergeEvent(const EventOcc& event);
 
-  /// Posts a locally generated occurrence (occ+1 at the current epoch).
-  EventOcc PostLocalEvent(rules::EventToken token);
-  EventOcc PostLocalEvent(std::string_view token);  ///< interns
+  /// Posts a locally generated occurrence of `token` (occ+1 at the
+  /// current epoch) and returns it.
+  EventOcc PostEvent(rules::EventToken token);
 
   /// Invalidates step.done/step.fail events of steps downstream of
   /// `origin` (inclusive) that were produced under an epoch older than
-  /// `new_epoch`. Returns the invalidated tokens so the caller can
-  /// Invalidate() them in the rule engine. WF-level events are untouched.
+  /// `new_epoch`, and returns them. WF-level events are untouched.
   std::vector<rules::EventToken> InvalidateDownstream(StepId origin,
                                                       int64_t new_epoch);
 
@@ -123,13 +117,16 @@ class InstanceState {
   /// start, each once, in firing order.
   std::vector<StepId> FireableSteps();
 
-  /// Posts a local occurrence of `token` here and into the rules.
-  void PostEvent(rules::EventToken token);
+  /// True when one of the rules that start `step` has all its events
+  /// valid and its condition true now, fired or not.
+  bool Triggerable(StepId step) const {
+    return rules_.Triggerable(step, DataEnv());
+  }
 
   /// Rollback/halt reset of `origin` and everything downstream (§5.2):
-  /// invalidates their events older than `new_epoch` here and in the
-  /// rules, re-arms the rules that fire them, and clears their in-flight
-  /// and starting marks. Returns how many had run or were running here.
+  /// invalidates their events older than `new_epoch`, re-arms the rules
+  /// that fire them, and clears their in-flight and starting marks.
+  /// Returns how many had run or were running here.
   int64_t ResetDownstream(StepId origin, int64_t new_epoch);
 
   /// All currently valid event occurrences (packet payload), ordered by
@@ -154,8 +151,11 @@ class InstanceState {
   const std::vector<RoLink>& ro_links() const { return ro_links_; }
 
   /// RO gating of a lagging step: adds `token` as a precondition of
-  /// every rule that fires `step`. False when no rule was guarded.
-  bool GateStep(StepId step, rules::EventToken token);
+  /// every rule that fires `step`, in this instance only. False when no
+  /// rule was guarded.
+  bool GateStep(StepId step, rules::EventToken token) {
+    return rules_.Gate(step, token);
+  }
 
   // ---- rollback dependency obligations ----
   template <typename Links>
@@ -238,7 +238,7 @@ class InstanceState {
  private:
   InstanceId id_;
   model::CompiledSchemaPtr schema_;
-  rules::RuleEngine rules_;
+  rules::FiringState rules_;
   /// Steps whose start is underway (blocks duplicate fires).
   std::set<StepId> starting_;
   MutexClaims me_;
@@ -251,7 +251,6 @@ class InstanceState {
   std::map<StepId, StepId> taken_branch_;
   std::vector<RoLink> ro_links_;
   std::vector<RdLink> rd_links_;
-  std::unordered_map<rules::EventToken, EventEntry> events_;
   int64_t exec_seq_ = 0;
   int64_t epoch_ = 0;
   NodeId coordinator_ = kInvalidNode;

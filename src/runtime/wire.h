@@ -399,6 +399,9 @@ struct AddEventMsg {
   static Result<AddEventMsg> Parse(const std::string& payload);
 };
 
+/// The paper's remote AddPrecondition. No node sends or handles it: an
+/// RO gate is added where the lagging instance lives
+/// (InstanceState::GateStep).
 struct AddPreconditionMsg {
   InstanceId instance;
   std::string rule_id;

@@ -1,8 +1,11 @@
 // Equivalence test for the indexed rule engine: replays mutation scripts
-// against both the production RuleEngine (inverted index + dirty set) and
-// a reference engine that reimplements the original full-scan semantics
-// (id-ordered std::map, every rule re-evaluated on every collect), and
-// asserts the fired-action sequences and fire counts are identical.
+// against both the production RuleProgram + FiringState (inverted index,
+// dirty set, per-step gate overlay) and a reference engine that
+// reimplements the original full-scan semantics (id-ordered std::map,
+// every rule re-evaluated on every collect), and asserts the fired-step
+// sequences and fire counts are identical. Every rule starts its own
+// step, so gating a step equals the reference's per-rule
+// AddPrecondition, and re-arming a step equals its per-rule reset.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,11 @@
 
 namespace crew::rules {
 namespace {
+
+// What a reference rule fires: its step.
+struct RuleAction {
+  StepId step = kInvalidStep;
+};
 
 // The pre-index engine, verbatim semantics: string-keyed event table,
 // rules in an id-ordered map, CollectFireable scans every rule.
@@ -106,7 +114,8 @@ class ReferenceEngine {
   int64_t fire_count_ = 0;
 };
 
-// Applies every mutation to both engines and checks each collect.
+// Applies every mutation to both engines and checks each collect. Rules
+// are added first; Build() then compiles the indexed side's program.
 class Harness {
  public:
   Harness()
@@ -117,78 +126,72 @@ class Harness {
 
   void AddRule(const std::string& id,
                const std::vector<std::string>& events, StepId step,
-               const std::string& condition_src = "",
-               ActionKind kind = ActionKind::kExecuteStep) {
+               const std::string& condition_src = "") {
     expr::NodePtr condition;
     if (!condition_src.empty()) {
       condition = expr::ParseExpression(condition_src).value();
     }
-    RuleAction action{kind, step};
     Rule rule;
     rule.id = id;
     for (const std::string& event : events) {
       rule.events.push_back(InternToken(event));
     }
     rule.condition = condition;
-    rule.action = action;
-    bool indexed_ok = indexed_.AddRule(std::move(rule)).ok();
-    bool ref_ok = ref_.AddRule(id, events, condition, action);
-    ASSERT_EQ(indexed_ok, ref_ok) << "AddRule(" << id << ") diverged";
+    rule.step = step;
+    rules_.push_back(std::move(rule));
+    step_of_[id] = step;
+    ASSERT_TRUE(ref_.AddRule(id, events, condition, RuleAction{step}))
+        << "AddRule(" << id << ") rejected";
   }
 
-  void RemoveRule(const std::string& id) {
-    EXPECT_EQ(indexed_.RemoveRule(id), ref_.RemoveRule(id))
-        << "RemoveRule(" << id << ") diverged";
+  void Build() {
+    program_ = RuleProgram::Build(std::move(rules_)).value();
+    indexed_ = FiringState(&program_);
   }
 
   void AddPrecondition(const std::string& id, const std::string& event) {
-    (void)indexed_.AddPrecondition(id, std::string_view(event));
+    auto it = step_of_.find(id);
+    if (it != step_of_.end()) indexed_.Gate(it->second, InternToken(event));
     ref_.AddPrecondition(id, event);
   }
 
   void Post(const std::string& event) {
-    indexed_.Post(std::string_view(event));
+    indexed_.Post(InternToken(event), 1, 0);
     ref_.Post(event);
   }
 
   void Invalidate(const std::string& event) {
-    indexed_.Invalidate(std::string_view(event));
+    indexed_.Invalidate(InternToken(event));
     ref_.Invalidate(event);
   }
 
   void ResetFiring(const std::string& id) {
-    indexed_.ResetFiringIf(
-        [&id](const Rule& rule) { return rule.id == id; });
+    auto it = step_of_.find(id);
+    if (it != step_of_.end()) indexed_.Rearm(it->second);
     ref_.ResetFiringIf(id);
   }
 
   void set_x(int64_t x) { x_ = x; }
 
   // Collects from both engines and asserts identical firing sequences
-  // and running fire counts. Returns the fired actions.
-  std::vector<RuleAction> Collect() {
-    std::vector<RuleAction> got = indexed_.CollectFireable(env_);
-    std::vector<RuleAction> want = ref_.CollectFireable(env_);
-    EXPECT_EQ(Flatten(got), Flatten(want)) << "collect #" << ++collects_;
+  // and running fire counts. Returns the fired steps.
+  std::vector<StepId> Collect() {
+    std::vector<StepId> got = indexed_.CollectFireable(env_);
+    std::vector<StepId> want;
+    for (const RuleAction& action : ref_.CollectFireable(env_)) {
+      want.push_back(action.step);
+    }
+    EXPECT_EQ(got, want) << "collect #" << ++collects_;
     EXPECT_EQ(indexed_.fire_count(), ref_.fire_count())
         << "fire_count after collect #" << collects_;
     return got;
   }
 
-  RuleEngine& indexed() { return indexed_; }
-
  private:
-  static std::vector<std::pair<int, StepId>> Flatten(
-      const std::vector<RuleAction>& actions) {
-    std::vector<std::pair<int, StepId>> out;
-    out.reserve(actions.size());
-    for (const RuleAction& a : actions) {
-      out.emplace_back(static_cast<int>(a.kind), a.step);
-    }
-    return out;
-  }
-
-  RuleEngine indexed_;
+  std::vector<Rule> rules_;
+  std::map<std::string, StepId> step_of_;
+  RuleProgram program_;
+  FiringState indexed_;
   ReferenceEngine ref_;
   int64_t x_ = 0;
   expr::FunctionEnvironment env_;
@@ -198,6 +201,7 @@ class Harness {
 TEST(RuleEquivalenceTest, RePostAfterInvalidate) {
   Harness h;
   h.AddRule("r1", {"A", "B"}, 1);
+  h.Build();
   h.Post("A");
   h.Post("B");
   EXPECT_EQ(h.Collect().size(), 1u);
@@ -209,15 +213,14 @@ TEST(RuleEquivalenceTest, RePostAfterInvalidate) {
 
   // Re-posting the invalidated trigger re-arms the rule.
   h.Post("A");
-  std::vector<RuleAction> fired = h.Collect();
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].step, 1);
+  EXPECT_EQ(h.Collect(), std::vector<StepId>{1});
   EXPECT_TRUE(h.Collect().empty());
 }
 
 TEST(RuleEquivalenceTest, PreconditionAddedAfterPartialTriggering) {
   Harness h;
   h.AddRule("r1", {"A"}, 1);
+  h.Build();
   h.Post("A");
   // The trigger is satisfied but a precondition lands before collect.
   h.AddPrecondition("r1", "P");
@@ -237,6 +240,7 @@ TEST(RuleEquivalenceTest, ResetFiringReArmsOnOldEvents) {
   Harness h;
   h.AddRule("r1", {"A"}, 1);
   h.AddRule("r2", {"A", "B"}, 2);
+  h.Build();
   h.Post("A");
   h.Post("B");
   EXPECT_EQ(h.Collect().size(), 2u);
@@ -244,9 +248,7 @@ TEST(RuleEquivalenceTest, ResetFiringReArmsOnOldEvents) {
 
   // Reset re-fires r1 on its still-valid trigger.
   h.ResetFiring("r1");
-  std::vector<RuleAction> fired = h.Collect();
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].step, 1);
+  EXPECT_EQ(h.Collect(), std::vector<StepId>{1});
 
   // Reset of a rule whose trigger was invalidated must stay quiet.
   h.Invalidate("B");
@@ -259,6 +261,7 @@ TEST(RuleEquivalenceTest, ResetFiringReArmsOnOldEvents) {
 TEST(RuleEquivalenceTest, ConditionFalseRuleStaysHotAcrossCollects) {
   Harness h;
   h.AddRule("r1", {"A"}, 1, "x > 5");
+  h.Build();
   h.Post("A");
   // Condition false: neither engine fires, on every collect.
   EXPECT_TRUE(h.Collect().empty());
@@ -278,17 +281,16 @@ TEST(RuleEquivalenceTest, FiringOrderIsIdLexicographic) {
   h.AddRule("r2", {"A"}, 2);
   h.AddRule("r10", {"A"}, 10);
   h.AddRule("r1", {"A"}, 1);
+  h.Build();
   h.Post("A");
-  std::vector<RuleAction> fired = h.Collect();
-  ASSERT_EQ(fired.size(), 3u);
-  EXPECT_EQ(fired[0].step, 1);   // r1
-  EXPECT_EQ(fired[1].step, 10);  // r10
-  EXPECT_EQ(fired[2].step, 2);   // r2
+  // r1, r10, r2.
+  EXPECT_EQ(h.Collect(), (std::vector<StepId>{1, 10, 2}));
 }
 
 TEST(RuleEquivalenceTest, RandomizedScriptsMatchReference) {
   // Replays pseudo-random scripts of every mutating primitive against
-  // both engines; the harness asserts equality at each collect.
+  // both engines; the harness asserts equality at each collect. The
+  // rules are fixed before the script runs, as a compiled program is.
   for (uint32_t seed : {1u, 7u, 1998u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::mt19937 rng(seed);
@@ -298,9 +300,9 @@ TEST(RuleEquivalenceTest, RandomizedScriptsMatchReference) {
     auto event_name = [](int i) { return "E" + std::to_string(i); };
     auto rule_name = [](int i) { return "r" + std::to_string(i); };
 
-    // Seed rules: one or two triggers each, a third with a condition.
-    int next_rule = 0;
-    for (; next_rule < 16; ++next_rule) {
+    // Rules: one or two triggers each, a third with a condition.
+    const int kNumRules = 16;
+    for (int next_rule = 0; next_rule < kNumRules; ++next_rule) {
       std::vector<std::string> events{
           event_name(static_cast<int>(rng() % kNumEvents))};
       if (rng() % 2 == 0) {
@@ -312,9 +314,15 @@ TEST(RuleEquivalenceTest, RandomizedScriptsMatchReference) {
       h.AddRule(rule_name(next_rule), events,
                 static_cast<StepId>(next_rule + 1), condition);
     }
+    h.Build();
 
+    // Gate and reset also name one rule past the last, which neither
+    // engine has.
+    auto any_rule = [&] {
+      return rule_name(static_cast<int>(rng() % (kNumRules + 1)));
+    };
     for (int op = 0; op < 2000; ++op) {
-      switch (rng() % 10) {
+      switch (rng() % 9) {
         case 0:
         case 1:
         case 2:
@@ -324,33 +332,19 @@ TEST(RuleEquivalenceTest, RandomizedScriptsMatchReference) {
         case 4:
           h.Invalidate(event_name(static_cast<int>(rng() % kNumEvents)));
           break;
-        case 5:
-          h.AddPrecondition(
-              rule_name(static_cast<int>(rng() % (next_rule + 1))),
-              event_name(static_cast<int>(rng() % kNumEvents)));
+        case 5: {
+          std::string rule = any_rule();
+          h.AddPrecondition(rule,
+                            event_name(static_cast<int>(rng() % kNumEvents)));
           break;
+        }
         case 6:
-          h.ResetFiring(
-              rule_name(static_cast<int>(rng() % (next_rule + 1))));
+          h.ResetFiring(any_rule());
           break;
         case 7:
-          if (rng() % 4 == 0) {
-            h.RemoveRule(
-                rule_name(static_cast<int>(rng() % (next_rule + 1))));
-          } else {
-            std::vector<std::string> events{
-                event_name(static_cast<int>(rng() % kNumEvents))};
-            std::string condition;
-            if (rng() % 3 == 0) condition = "x > 5";
-            ++next_rule;
-            h.AddRule(rule_name(next_rule), events,
-                      static_cast<StepId>(next_rule + 1), condition);
-          }
-          break;
-        case 8:
           h.set_x(static_cast<int64_t>(rng() % 10));
           break;
-        case 9:
+        case 8:
           h.Collect();
           break;
       }

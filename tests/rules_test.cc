@@ -20,9 +20,39 @@ Rule MakeRule(std::string id, std::vector<std::string> events,
   for (const std::string& event : events) {
     rule.events.push_back(InternToken(event));
   }
-  rule.action = {ActionKind::kExecuteStep, step};
+  rule.step = step;
   return rule;
 }
+
+// A program over `rules` and one instance's firing state on it.
+class Engine {
+ public:
+  explicit Engine(std::vector<Rule> rules)
+      : program_(RuleProgram::Build(std::move(rules)).value()),
+        state_(&program_) {}
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
+  FiringState* operator->() { return &state_; }
+  void Post(std::string_view event) { state_.Post(InternToken(event), 1, 0); }
+  void Invalidate(std::string_view event) {
+    state_.Invalidate(InternToken(event));
+  }
+  bool Occurred(std::string_view event) const {
+    return state_.Occurred(InternToken(event));
+  }
+  std::vector<std::string> Missing(uint32_t slot) const {
+    std::vector<std::string> names;
+    for (EventToken token : state_.Missing(slot)) {
+      names.push_back(TokenNameStr(token));
+    }
+    return names;
+  }
+
+ private:
+  RuleProgram program_;
+  FiringState state_;
+};
 
 TEST(EventTest, TokenFormats) {
   EXPECT_EQ(event::WorkflowStart(), "WF.start");
@@ -42,42 +72,36 @@ TEST(EventTest, ParseStepEvent) {
 }
 
 TEST(RuleEngineTest, FiresWhenAllEventsPresent) {
-  RuleEngine engine;
-  ASSERT_TRUE(engine.AddRule(MakeRule("r1", {"A", "B"}, 1)).ok());
+  Engine engine({MakeRule("r1", {"A", "B"}, 1)});
   auto env = EmptyEnv();
   engine.Post("A");
-  EXPECT_TRUE(engine.CollectFireable(env).empty());
+  EXPECT_TRUE(engine->CollectFireable(env).empty());
   engine.Post("B");
-  std::vector<RuleAction> fired = engine.CollectFireable(env);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].step, 1);
+  EXPECT_EQ(engine->CollectFireable(env), std::vector<StepId>{1});
 }
 
 TEST(RuleEngineTest, DoesNotRefireWithoutNewEvents) {
-  RuleEngine engine;
-  ASSERT_TRUE(engine.AddRule(MakeRule("r1", {"A"}, 1)).ok());
+  Engine engine({MakeRule("r1", {"A"}, 1)});
   auto env = EmptyEnv();
   engine.Post("A");
-  EXPECT_EQ(engine.CollectFireable(env).size(), 1u);
-  EXPECT_TRUE(engine.CollectFireable(env).empty());
+  EXPECT_EQ(engine->CollectFireable(env).size(), 1u);
+  EXPECT_TRUE(engine->CollectFireable(env).empty());
 }
 
 TEST(RuleEngineTest, RefiresOnRepostedEvent) {
   // Loop semantics: a re-posted trigger re-fires the rule.
-  RuleEngine engine;
-  ASSERT_TRUE(engine.AddRule(MakeRule("r1", {"A"}, 1)).ok());
+  Engine engine({MakeRule("r1", {"A"}, 1)});
   auto env = EmptyEnv();
   engine.Post("A");
-  EXPECT_EQ(engine.CollectFireable(env).size(), 1u);
+  EXPECT_EQ(engine->CollectFireable(env).size(), 1u);
   engine.Post("A");
-  EXPECT_EQ(engine.CollectFireable(env).size(), 1u);
+  EXPECT_EQ(engine->CollectFireable(env).size(), 1u);
 }
 
 TEST(RuleEngineTest, ConditionGatesFiring) {
-  RuleEngine engine;
   Rule rule = MakeRule("r1", {"A"}, 1);
   rule.condition = expr::ParseExpression("x > 5").value();
-  ASSERT_TRUE(engine.AddRule(std::move(rule)).ok());
+  Engine engine({std::move(rule)});
 
   int x = 0;
   expr::FunctionEnvironment env(
@@ -86,116 +110,104 @@ TEST(RuleEngineTest, ConditionGatesFiring) {
         return std::nullopt;
       });
   engine.Post("A");
-  EXPECT_TRUE(engine.CollectFireable(env).empty());
+  EXPECT_TRUE(engine->CollectFireable(env).empty());
+  EXPECT_FALSE(engine->Triggerable(1, env));
   x = 6;
+  EXPECT_TRUE(engine->Triggerable(1, env));
   // No new event, but the rule never fired: the condition is re-checked
   // only on a fresh stamp, so re-post to re-evaluate.
   engine.Post("A");
-  EXPECT_EQ(engine.CollectFireable(env).size(), 1u);
+  EXPECT_EQ(engine->CollectFireable(env).size(), 1u);
 }
 
 TEST(RuleEngineTest, InvalidationDisarmsRule) {
-  RuleEngine engine;
-  ASSERT_TRUE(engine.AddRule(MakeRule("r1", {"A", "B"}, 1)).ok());
+  Engine engine({MakeRule("r1", {"A", "B"}, 1)});
   auto env = EmptyEnv();
   engine.Post("A");
   engine.Invalidate("A");
   engine.Post("B");
-  EXPECT_TRUE(engine.CollectFireable(env).empty());
+  EXPECT_TRUE(engine->CollectFireable(env).empty());
   EXPECT_FALSE(engine.Occurred("A"));
   EXPECT_TRUE(engine.Occurred("B"));
 }
 
 TEST(RuleEngineTest, ResetFiringAllowsRefireOnOldEvents) {
-  RuleEngine engine;
-  ASSERT_TRUE(engine.AddRule(MakeRule("r1", {"A"}, 1)).ok());
+  Engine engine({MakeRule("r1", {"A"}, 1)});
   auto env = EmptyEnv();
   engine.Post("A");
-  EXPECT_EQ(engine.CollectFireable(env).size(), 1u);
-  engine.ResetFiringIf([](const Rule& rule) { return rule.id == "r1"; });
-  EXPECT_EQ(engine.CollectFireable(env).size(), 1u);
+  EXPECT_EQ(engine->CollectFireable(env).size(), 1u);
+  engine->Rearm(1);
+  EXPECT_EQ(engine->CollectFireable(env).size(), 1u);
 }
 
 TEST(RuleEngineTest, AddPreconditionBlocksUntilEventArrives) {
-  RuleEngine engine;
-  ASSERT_TRUE(engine.AddRule(MakeRule("r1", {"A"}, 1)).ok());
-  ASSERT_TRUE(engine.AddPrecondition("r1", "RO:WF1#1:S2.done").ok());
+  Engine engine({MakeRule("r1", {"A"}, 1)});
+  EXPECT_TRUE(engine->Gate(1, InternToken("RO:WF1#1:S2.done")));
   auto env = EmptyEnv();
   engine.Post("A");
-  EXPECT_TRUE(engine.CollectFireable(env).empty());
+  EXPECT_TRUE(engine->CollectFireable(env).empty());
+  EXPECT_FALSE(engine->Triggerable(1, env));
   engine.Post("RO:WF1#1:S2.done");
-  EXPECT_EQ(engine.CollectFireable(env).size(), 1u);
+  EXPECT_EQ(engine->CollectFireable(env).size(), 1u);
 }
 
 TEST(RuleEngineTest, AddPreconditionIsIdempotent) {
-  RuleEngine engine;
-  ASSERT_TRUE(engine.AddRule(MakeRule("r1", {"A"}, 1)).ok());
-  ASSERT_TRUE(engine.AddPrecondition("r1", "X").ok());
-  ASSERT_TRUE(engine.AddPrecondition("r1", "X").ok());
-  EXPECT_EQ(engine.FindRule("r1")->events.size(), 2u);
+  Engine engine({MakeRule("r1", {"A"}, 1)});
+  EXPECT_TRUE(engine->Gate(1, InternToken("X")));
+  EXPECT_TRUE(engine->Gate(1, InternToken("X")));
+  // A gate on one of the rule's own triggers adds nothing either.
+  EXPECT_TRUE(engine->Gate(1, InternToken("A")));
+  EXPECT_EQ(engine.Missing(0), (std::vector<std::string>{"A", "X"}));
 }
 
 TEST(RuleEngineTest, AddPreconditionOnMissingRuleFails) {
-  RuleEngine engine;
-  EXPECT_TRUE(engine.AddPrecondition("ghost", "X").IsNotFound());
+  // No rule starts step 2, so there is nothing to gate.
+  Engine engine({MakeRule("r1", {"A"}, 1)});
+  EXPECT_FALSE(engine->Gate(2, InternToken("X")));
+  engine.Post("A");
+  EXPECT_EQ(engine->CollectFireable(EmptyEnv()), std::vector<StepId>{1});
 }
 
 TEST(RuleEngineTest, DuplicateRuleIdRejected) {
-  RuleEngine engine;
-  ASSERT_TRUE(engine.AddRule(MakeRule("r1", {"A"}, 1)).ok());
-  EXPECT_EQ(engine.AddRule(MakeRule("r1", {"B"}, 2)).code(),
+  EXPECT_EQ(RuleProgram::Build({MakeRule("r1", {"A"}, 1),
+                                MakeRule("r1", {"B"}, 2)})
+                .status()
+                .code(),
             StatusCode::kAlreadyExists);
 }
 
 TEST(RuleEngineTest, RuleValidationRejectsEmpty) {
-  RuleEngine engine;
-  EXPECT_FALSE(engine.AddRule(MakeRule("", {"A"}, 1)).ok());
-  EXPECT_FALSE(engine.AddRule(MakeRule("r", {}, 1)).ok());
+  EXPECT_FALSE(RuleProgram::Build({MakeRule("", {"A"}, 1)}).ok());
+  EXPECT_FALSE(RuleProgram::Build({MakeRule("r", {}, 1)}).ok());
+  EXPECT_FALSE(RuleProgram::Build({MakeRule("r", {"A"}, kInvalidStep)}).ok());
+  EXPECT_TRUE(RuleProgram::Build({MakeRule("r", {"A"}, 1)}).ok());
 }
 
 TEST(RuleEngineTest, PendingRulesListsMissingEvents) {
-  RuleEngine engine;
-  ASSERT_TRUE(engine.AddRule(MakeRule("r1", {"A", "B", "C"}, 1)).ok());
+  Engine engine({MakeRule("r1", {"A", "B", "C"}, 1)});
   engine.Post("B");
-  auto pending = engine.PendingRules();
-  ASSERT_EQ(pending.size(), 1u);
-  EXPECT_EQ(pending[0].first, "r1");
-  EXPECT_EQ(pending[0].second, (std::vector<std::string>{"A", "C"}));
-  EXPECT_EQ(engine.MissingEvents("r1"),
-            (std::vector<std::string>{"A", "C"}));
+  EXPECT_EQ(engine.Missing(0), (std::vector<std::string>{"A", "C"}));
+  engine.Post("A");
+  engine.Post("C");
+  EXPECT_TRUE(engine.Missing(0).empty());
 }
 
 TEST(RuleEngineTest, FiringOrderIsDeterministicById) {
-  RuleEngine engine;
-  ASSERT_TRUE(engine.AddRule(MakeRule("b", {"X"}, 2)).ok());
-  ASSERT_TRUE(engine.AddRule(MakeRule("a", {"X"}, 1)).ok());
+  Engine engine({MakeRule("b", {"X"}, 2), MakeRule("a", {"X"}, 1)});
+  EXPECT_EQ(engine->program().rule(0).id, "a");
   auto env = EmptyEnv();
   engine.Post("X");
-  std::vector<RuleAction> fired = engine.CollectFireable(env);
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0].step, 1);  // rule "a" first
-  EXPECT_EQ(fired[1].step, 2);
-}
-
-TEST(RuleEngineTest, RemoveRule) {
-  RuleEngine engine;
-  ASSERT_TRUE(engine.AddRule(MakeRule("r1", {"A"}, 1)).ok());
-  EXPECT_TRUE(engine.RemoveRule("r1"));
-  EXPECT_FALSE(engine.RemoveRule("r1"));
-  auto env = EmptyEnv();
-  engine.Post("A");
-  EXPECT_TRUE(engine.CollectFireable(env).empty());
+  EXPECT_EQ(engine->CollectFireable(env), (std::vector<StepId>{1, 2}));
 }
 
 TEST(RuleEngineTest, FireCountAccumulates) {
-  RuleEngine engine;
-  ASSERT_TRUE(engine.AddRule(MakeRule("r1", {"A"}, 1)).ok());
+  Engine engine({MakeRule("r1", {"A"}, 1)});
   auto env = EmptyEnv();
   engine.Post("A");
-  engine.CollectFireable(env);
+  engine->CollectFireable(env);
   engine.Post("A");
-  engine.CollectFireable(env);
-  EXPECT_EQ(engine.fire_count(), 2);
+  engine->CollectFireable(env);
+  EXPECT_EQ(engine->fire_count(), 2);
 }
 
 }  // namespace

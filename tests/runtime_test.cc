@@ -7,18 +7,21 @@
 
 #include "expr/parser.h"
 #include "model/builder.h"
+#include "model/rulegen.h"
 #include "runtime/coord.h"
 #include "runtime/instance.h"
 #include "runtime/ocr.h"
 #include "runtime/packet.h"
 #include "runtime/programs.h"
-#include "runtime/rulegen.h"
 #include "runtime/wire.h"
 #include "rules/event.h"
 #include "sim/metrics.h"
 
 namespace crew::runtime {
 namespace {
+
+using model::MakeAllRules;
+using model::MakeStepRules;
 
 model::CompiledSchemaPtr CompileSeq3() {
   model::SchemaBuilder b("Seq3");
@@ -196,17 +199,17 @@ TEST(InstanceTest, EventOccurrenceMergeSemantics) {
 
 TEST(InstanceTest, PostLocalEventIncrementsOccurrence) {
   InstanceState state({"WF1", 1}, CompileSeq3());
-  EventOcc first = state.PostLocalEvent("S1.done");
-  EventOcc second = state.PostLocalEvent("S1.done");
+  EventOcc first = state.PostEvent(rules::event::StepDoneToken(1));
+  EventOcc second = state.PostEvent(rules::event::StepDoneToken(1));
   EXPECT_EQ(first.occ, 1);
   EXPECT_EQ(second.occ, 2);
 }
 
 TEST(InstanceTest, InvalidateDownstreamRespectsEpoch) {
   InstanceState state({"WF1", 1}, CompileSeq3());
-  state.PostLocalEvent("S1.done");
-  state.PostLocalEvent("S2.done");
-  state.PostLocalEvent("S3.done");
+  state.PostEvent(rules::event::StepDoneToken(1));
+  state.PostEvent(rules::event::StepDoneToken(2));
+  state.PostEvent(rules::event::StepDoneToken(3));
   // Roll back to step 2 under epoch 1: S2/S3 events (epoch 0) die, S1
   // survives (not downstream of 2).
   state.set_epoch(1);
@@ -218,15 +221,15 @@ TEST(InstanceTest, InvalidateDownstreamRespectsEpoch) {
   EXPECT_FALSE(state.EventValid("S2.done"));
 
   // New-epoch events are not re-invalidated by a replayed halt.
-  state.PostLocalEvent("S2.done");  // now at epoch 1
+  state.PostEvent(rules::event::StepDoneToken(2));  // now at epoch 1
   EXPECT_TRUE(state.InvalidateDownstream(2, 1).empty());
   EXPECT_TRUE(state.EventValid("S2.done"));
 }
 
 TEST(InstanceTest, MakePacketCarriesOnlyValidEvents) {
   InstanceState state({"WF1", 1}, CompileSeq3());
-  state.PostLocalEvent("S1.done");
-  state.PostLocalEvent("S2.done");
+  state.PostEvent(rules::event::StepDoneToken(1));
+  state.PostEvent(rules::event::StepDoneToken(2));
   state.set_epoch(1);
   state.InvalidateDownstream(2, 1);
   WorkflowPacket packet = state.MakePacket(3);
@@ -254,8 +257,10 @@ TEST(InstanceTest, MergePacketUpdatesStateAndEpoch) {
 }
 
 TEST(InstanceTest, OwnsItsRulesAndMergePacketPostsFreshEvents) {
-  InstanceState state({"WF1", 1}, CompileSeq3());
-  EXPECT_EQ(state.rules().num_rules(), 3u);
+  model::CompiledSchemaPtr schema = CompileSeq3();
+  InstanceState state({"WF1", 1}, schema);
+  EXPECT_EQ(&state.rules().program(), &schema->rules());
+  EXPECT_EQ(state.rules().program().num_rules(), 3u);
   WorkflowPacket packet;
   packet.instance = {"WF1", 1};
   packet.events.push_back({"WF.start", 1, 0});
@@ -266,6 +271,46 @@ TEST(InstanceTest, OwnsItsRulesAndMergePacketPostsFreshEvents) {
   state.MergePacket(packet);
   EXPECT_EQ(state.FireableSteps(), std::vector<StepId>{2});
   state.MergePacket(packet);
+  EXPECT_TRUE(state.FireableSteps().empty());
+}
+
+TEST(InstanceTest, InstancesShareOneProgramAndGateOnlyThemselves) {
+  model::CompiledSchemaPtr schema = CompileSeq3();
+  InstanceState gated({"WF1", 1}, schema);
+  InstanceState free({"WF1", 2}, schema);
+  EXPECT_EQ(&gated.rules().program(), &free.rules().program());
+  EXPECT_EQ(&free.rules().program(), &schema->rules());
+
+  // A gate on S2 in one instance does not delay S2 in the other.
+  const rules::EventToken token =
+      rules::event::RelativeOrderToken({"WF2", 7}, 3);
+  EXPECT_TRUE(gated.GateStep(2, token));
+  for (InstanceState* state : {&gated, &free}) {
+    state->PostEvent(rules::event::WorkflowStartToken());
+    EXPECT_EQ(state->FireableSteps(), std::vector<StepId>{1});
+    state->PostEvent(rules::event::StepDoneToken(1));
+  }
+  EXPECT_TRUE(gated.FireableSteps().empty());
+  EXPECT_FALSE(gated.Triggerable(2));
+  EXPECT_EQ(free.FireableSteps(), std::vector<StepId>{2});
+  EXPECT_TRUE(free.Triggerable(2));
+}
+
+TEST(InstanceTest, ValidGateNewerThanLastFiringRefiresAtOnce) {
+  InstanceState state({"WF1", 1}, CompileSeq3());
+  state.PostEvent(rules::event::WorkflowStartToken());
+  state.PostEvent(rules::event::StepDoneToken(1));
+  EXPECT_EQ(state.FireableSteps(), (std::vector<StepId>{1, 2}));
+  // The token is valid and posted after S2's rule fired: gating on it
+  // raises the rule's newest stamp, so it fires with no further post.
+  const rules::EventToken token =
+      rules::event::RelativeOrderToken({"WF2", 7}, 3);
+  state.PostEvent(token);
+  EXPECT_TRUE(state.FireableSteps().empty());
+  EXPECT_TRUE(state.GateStep(2, token));
+  EXPECT_EQ(state.FireableSteps(), std::vector<StepId>{2});
+  // The same gate again changes nothing.
+  EXPECT_TRUE(state.GateStep(2, token));
   EXPECT_TRUE(state.FireableSteps().empty());
 }
 
